@@ -112,6 +112,7 @@ struct CellResult {
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_used = 0;
   uint64_t prefetch_wasted = 0;
+  uint64_t prefetch_dropped = 0;
   uint64_t coalesced_misses = 0;
   uint64_t device_reads = 0;
   /// Per-shard hit rates (size == shards when sharded, else empty).
@@ -253,6 +254,7 @@ CellResult RunCell(const index::InvertedIndex& index,
       prefetch.issued += shard_stats.issued;
       prefetch.used += shard_stats.used;
       prefetch.wasted += shard_stats.wasted;
+      prefetch.dropped += shard_stats.dropped;
       prefetch.coalesced_misses += shard_stats.coalesced_misses;
       prefetch.device_reads += shard_stats.device_reads;
     }
@@ -262,6 +264,7 @@ CellResult RunCell(const index::InvertedIndex& index,
   cell.prefetch_issued = prefetch.issued;
   cell.prefetch_used = prefetch.used;
   cell.prefetch_wasted = prefetch.wasted;
+  cell.prefetch_dropped = prefetch.dropped;
   cell.coalesced_misses = prefetch.coalesced_misses;
   cell.device_reads = prefetch.device_reads;
   if (engine != nullptr) {
@@ -348,6 +351,7 @@ std::string CellJson(const char* label, const Config& config, size_t threads,
       .Key("prefetch_issued").UInt(cell.prefetch_issued)
       .Key("prefetch_used").UInt(cell.prefetch_used)
       .Key("prefetch_wasted").UInt(cell.prefetch_wasted)
+      .Key("prefetch_dropped").UInt(cell.prefetch_dropped)
       .Key("coalesced_misses").UInt(cell.coalesced_misses)
       .Key("device_reads").UInt(cell.device_reads)
       .Key("instrumented").Bool(args.instrument);
@@ -647,7 +651,7 @@ int main(int argc, char** argv) {
                 prefetch_threads);
     AsciiTable table({"mode", "q/s", "p99 ms", "hit rate", "demand reads",
                       "device reads", "issued", "used", "wasted",
-                      "coalesced"});
+                      "dropped", "coalesced"});
     const struct {
       const char* label;
       size_t depth;
@@ -669,6 +673,8 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(cell.prefetch_used)),
            StrFormat("%llu",
                      static_cast<unsigned long long>(cell.prefetch_wasted)),
+           StrFormat("%llu",
+                     static_cast<unsigned long long>(cell.prefetch_dropped)),
            StrFormat("%llu", static_cast<unsigned long long>(
                                  cell.coalesced_misses))});
       telemetry.AddRaw(

@@ -74,7 +74,9 @@ std::string ResultsDir();
 ///       "prefetch_wasted", "coalesced_misses" and "device_reads"
 ///       (demand misses + readahead reads); the prefetch A/B pair adds
 ///       lower-is-better records carrying top-level "p99_us" /
-///       "disk_reads" for ab_compare floors (this PR).
+///       "disk_reads" for ab_compare floors. Later additive field:
+///       "prefetch_dropped" (hints dropped at the readahead bound;
+///       optional, absent from older files).
 ///   2 — schema_version field added; serve runs gained "instrumented",
 ///       "attribution", "mutex_waits", "latch_wait_share".
 ///   1 — implicit: {"bench","scale","runs":[...]} without a version.

@@ -70,7 +70,7 @@ struct Args {
   size_t queue_depth = 0;  // 0 = users.
   size_t loops = 1;
   uint32_t delay_us = 500;
-  /// Readahead slots per pool (serve). 0 = synchronous miss path.
+  /// Pages each scan reads ahead (serve). 0 = synchronous miss path.
   size_t prefetch_depth = 0;
   bool shared_context = false;
   /// Doc-range shards (serve). 1 = the classic single-pool path; N > 1
@@ -101,9 +101,8 @@ int Usage() {
       "each with its own buffer pool and policy instance, and serves "
       "queries scatter-gather; --buffers is the TOTAL page budget, split "
       "evenly\n"
-      "--prefetch-depth N (serve) arms the async miss pipeline: N "
-      "background I/O workers per pool service the evaluators' "
-      "page-access plans so list pages are read ahead of the scan "
+      "--prefetch-depth N (serve) arms the async miss pipeline: each "
+      "term scan keeps N pages read ahead of its demand fetches "
       "(default 0 = synchronous misses; 4 is a good start at 2ms "
       "device delay)\n"
       "--trace prints the per-query event timeline; --telemetry OUT "
@@ -703,6 +702,7 @@ int Serve(const corpus::SyntheticCorpus& corpus, const Args& args,
         prefetch.issued += ps.issued;
         prefetch.used += ps.used;
         prefetch.wasted += ps.wasted;
+        prefetch.dropped += ps.dropped;
         prefetch.coalesced_misses += ps.coalesced_misses;
         prefetch.device_reads += ps.device_reads;
       }
@@ -710,10 +710,12 @@ int Serve(const corpus::SyntheticCorpus& corpus, const Args& args,
       prefetch = server.mutable_pool()->PrefetchStatsSnapshot();
     }
     std::printf("prefetch     : %llu issued (%llu used, %llu wasted), "
-                "%llu coalesced misses, %llu device reads\n",
+                "%llu hints dropped, %llu coalesced misses, "
+                "%llu device reads\n",
                 static_cast<unsigned long long>(prefetch.issued),
                 static_cast<unsigned long long>(prefetch.used),
                 static_cast<unsigned long long>(prefetch.wasted),
+                static_cast<unsigned long long>(prefetch.dropped),
                 static_cast<unsigned long long>(prefetch.coalesced_misses),
                 static_cast<unsigned long long>(prefetch.device_reads));
   }

@@ -142,9 +142,9 @@ class BufferPool {
   /// for reporting; exact when the pool is quiesced).
   virtual BufferStats StatsSnapshot() const = 0;
 
-  /// Readahead slots this pool services (0 = readahead off, the
-  /// default). Evaluators consult this before building a PageAccessPlan
-  /// so a pool without readahead never pays the plan's construction.
+  /// Pages each term scan should read ahead of its demand fetches (0 =
+  /// readahead off, the default). Evaluators hand it to a
+  /// ReadaheadCursor, which never calls Prefetch when it is 0.
   virtual size_t PrefetchDepth() const { return 0; }
 
   /// Hints the upcoming page-access sequence (see PageAccessPlan).

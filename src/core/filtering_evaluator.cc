@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "buffer/readahead_cursor.h"
 #include "core/scorer.h"
 #include "core/top_n.h"
 #include "fault/backoff.h"
@@ -77,33 +78,22 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
           : info.pages;
 
   // Readahead: the page loop below fetches pages 0..page_cap of this
-  // term in order — evaluation knows its future — so hand the pool the
-  // tail of that sequence as a plan. On frequency-sorted lists the plan
-  // is clipped at the conversion table's PagesToProcess bound: pages
-  // the f_add threshold (at the current Smax) proves the scan can never
-  // reach are not worth reading ahead. Clipping is rank-safe because a
-  // plan is a pure hint — every page actually touched still arrives
-  // through FetchPinned below, and Smax only grows, so the bound only
-  // overestimates the pages the scan will demand. Guarded on
-  // PrefetchDepth so a pool without readahead pays nothing here.
-  if (buffers->PrefetchDepth() > 0) {
-    uint32_t plan_end = page_cap;
-    if (can_stop_early) {
-      plan_end = std::min(plan_end, index_->conversion_table().PagesToProcess(
-                                        qt.term, th.f_add, info.pages,
-                                        info.fmax));
-    }
-    if (plan_end > 1) {
-      std::vector<PageId> plan;
-      plan.reserve(plan_end - 1);
-      // Page 0 is demanded immediately; prefetching it would just race
-      // the fetch (coalescing would merge them, but why queue it).
-      for (uint32_t page_no = 1; page_no < plan_end; ++page_no) {
-        plan.push_back(PageId{qt.term, page_no});
-      }
-      buffers->Prefetch(buffer::PageAccessPlan(plan.data(), plan.size()));
-    }
-  }
+  // term in order — evaluation knows its future — so the cursor keeps
+  // the pool's readahead depth of those pages hinted ahead of each
+  // fetch. On frequency-sorted lists the plan is clipped at the
+  // conversion table's PagesToProcess bound: pages the f_add threshold
+  // (at the current Smax) proves the scan can never reach are not worth
+  // reading ahead. Clipping is rank-safe because a hint is only a hint —
+  // every page actually touched still arrives through FetchPinned below,
+  // and Smax only grows, so the bound only overestimates the pages the
+  // scan will demand. With depth 0 the clip is never computed.
+  const size_t depth = buffers->PrefetchDepth();
+  buffer::ReadaheadCursor readahead(
+      buffers, qt.term, depth,
+      depth == 0 || !can_stop_early
+          ? page_cap
+          : std::min(page_cap, index_->conversion_table().PagesToProcess(
+                                   qt.term, th.f_add, info.pages, info.fmax)));
 
   bool stop = false;
   // Phase tracking for the tracer: "ins" while postings pass f_ins,
@@ -111,6 +101,7 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
   // Frequencies are nonincreasing within a list, so phases never revert.
   const char* phase = "ins";
   for (uint32_t page_no = 0; page_no < page_cap && !stop; ++page_no) {
+    readahead.BeforeFetch(page_no);
     // The pin is scoped to this iteration: released before the next
     // page is fetched, so at most one page per query is pinned and
     // victim selection at fetch time sees no pins from this reader.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "buffer/readahead_cursor.h"
 #include "core/accumulator_set.h"
 #include "core/scorer.h"
 #include "core/top_n.h"
@@ -42,16 +43,11 @@ Result<EvalResult> QuitContinueEvaluator::Evaluate(
     const uint64_t postings_before = result.postings_processed;
     if (tracer != nullptr) tracer->BeginTerm(qt.term, info.pages, 0.0, 0.0);
     // Quit/continue reads every page of the list in order (no threshold
-    // clipping exists in this strategy), so the whole tail is the plan.
-    if (buffers->PrefetchDepth() > 0 && info.pages > 1) {
-      std::vector<PageId> plan;
-      plan.reserve(info.pages - 1);
-      for (uint32_t page_no = 1; page_no < info.pages; ++page_no) {
-        plan.push_back(PageId{qt.term, page_no});
-      }
-      buffers->Prefetch(buffer::PageAccessPlan(plan.data(), plan.size()));
-    }
+    // clipping exists in this strategy), so the whole list is the plan.
+    buffer::ReadaheadCursor readahead(buffers, qt.term,
+                                      buffers->PrefetchDepth(), info.pages);
     for (uint32_t page_no = 0; page_no < info.pages && !quit; ++page_no) {
+      readahead.BeforeFetch(page_no);
       Result<buffer::PinnedPage> page =
           buffers->FetchPinned(PageId{qt.term, page_no});
       if (!page.ok()) return page.status();

@@ -8,6 +8,17 @@
 #include "util/str.h"
 
 namespace irbuf::serve {
+namespace {
+
+/// B = min(max(64, 8*depth), capacity/2), at least 1; 0 with readahead
+/// off (see ConcurrentPoolOptions::prefetch_depth).
+size_t ReadaheadBound(size_t depth, size_t capacity) {
+  if (depth == 0) return 0;
+  return std::max<size_t>(
+      1, std::min(std::max<size_t>(64, depth * 8), capacity / 2));
+}
+
+}  // namespace
 
 ConcurrentBufferPool::ConcurrentBufferPool(const storage::SimulatedDisk* disk,
                                            ConcurrentPoolOptions options)
@@ -15,7 +26,9 @@ ConcurrentBufferPool::ConcurrentBufferPool(const storage::SimulatedDisk* disk,
       options_(options),
       policy_(buffer::MakePolicy(options.policy)),
       frames_(options.capacity == 0 ? 1 : options.capacity),
-      term_resident_(disk->num_terms()) {
+      term_resident_(disk->num_terms()),
+      readahead_bound_(
+          ReadaheadBound(options.prefetch_depth, frames_.size())) {
   free_frames_.reserve(frames_.size());
   // Hand out low frame ids first, exactly like BufferManager.
   for (size_t i = frames_.size(); i > 0; --i) {
@@ -32,28 +45,17 @@ ConcurrentBufferPool::ConcurrentBufferPool(const storage::SimulatedDisk* disk,
     for (Stripe& stripe : stripes_) stripe.mu.TrackContention(&stripe_waits_);
   }
   policy_->Attach(this);
-  if (options_.prefetch_depth > 0) {
-    prefetch_queue_cap_ = std::max<size_t>(64, options_.prefetch_depth * 8);
-    prefetch_window_cap_ = std::max<size_t>(
-        1, std::min(options_.prefetch_depth * 2, frames_.size() / 2));
-    // Workers start last: the pool above is fully constructed before
-    // any of them can touch it.
-    prefetch_workers_.reserve(options_.prefetch_depth);
-    for (size_t i = 0; i < options_.prefetch_depth; ++i) {
-      prefetch_workers_.emplace_back([this] { PrefetchWorkerLoop(); });
-    }
-  }
 }
 
 ConcurrentBufferPool::~ConcurrentBufferPool() {
-  if (!prefetch_workers_.empty()) {
-    {
-      MutexLock lock(prefetch_mu_);
-      prefetch_stop_ = true;
-    }
-    prefetch_cv_.NotifyAll();
-    for (std::thread& worker : prefetch_workers_) worker.join();
+  std::vector<std::thread> workers;
+  {
+    MutexLock lock(prefetch_mu_);
+    prefetch_stop_ = true;
+    workers.swap(prefetch_workers_);
   }
+  prefetch_cv_.NotifyAll();
+  for (std::thread& worker : workers) worker.join();
   // Quiescent-state contracts: every PinnedPage guard must have been
   // released (a live guard would read a destroyed frame), every
   // in-flight load must have reached a terminal state, and with no
@@ -411,15 +413,31 @@ void ConcurrentBufferPool::SetLoadState(uint64_t key,
 }
 
 void ConcurrentBufferPool::Prefetch(buffer::PageAccessPlan plan) {
-  if (options_.prefetch_depth == 0 || plan.empty()) return;
+  if (readahead_bound_ == 0 || plan.empty()) return;
+  size_t queued = 0;
   {
     MutexLock lock(prefetch_mu_);
     for (const PageId& id : plan) {
-      if (prefetch_queue_.size() >= prefetch_queue_cap_) break;
+      if (prefetch_queue_.size() >= readahead_bound_) break;
       prefetch_queue_.push_back(id.Pack());
+      ++queued;
+      // A hint no idle worker will take gets a worker of its own, so
+      // every scan's readahead runs concurrently up to the bound. The
+      // new worker blocks on prefetch_mu_ until this call releases it.
+      if (prefetch_queue_.size() > idle_workers_ &&
+          prefetch_workers_.size() < readahead_bound_) {
+        prefetch_workers_.emplace_back([this] { PrefetchWorkerLoop(); });
+      }
     }
   }
-  prefetch_cv_.NotifyAll();
+  if (queued < plan.size()) {
+    prefetch_dropped_.fetch_add(plan.size() - queued,
+                                std::memory_order_relaxed);
+    if (metrics_.prefetch_dropped != nullptr) {
+      metrics_.prefetch_dropped->Add(plan.size() - queued);
+    }
+  }
+  for (size_t i = 0; i < queued; ++i) prefetch_cv_.NotifyOne();
 }
 
 void ConcurrentBufferPool::PrefetchWorkerLoop() {
@@ -427,9 +445,11 @@ void ConcurrentBufferPool::PrefetchWorkerLoop() {
     uint64_t key = 0;
     {
       MutexLock lock(prefetch_mu_);
+      ++idle_workers_;
       while (!prefetch_stop_ && prefetch_queue_.empty()) {
         prefetch_cv_.Wait(prefetch_mu_);
       }
+      --idle_workers_;
       if (prefetch_stop_) return;
       key = prefetch_queue_.front();
       prefetch_queue_.pop_front();
@@ -440,6 +460,13 @@ void ConcurrentBufferPool::PrefetchWorkerLoop() {
 }
 
 void ConcurrentBufferPool::PrefetchOne(PageId id) {
+  // Readahead never probes a tripped device: while the breaker is open
+  // or half-open its single probe slot belongs to demand fetches, and a
+  // hint holding it would make a concurrent demand fetch fail fast.
+  if (resilient_ != nullptr && resilient_->breaker() != nullptr &&
+      resilient_->breaker()->state() != fault::BreakerState::kClosed) {
+    return;
+  }
   const uint64_t key = id.Pack();
   Stripe& stripe = StripeFor(key);
   {
@@ -456,7 +483,7 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
     if (!free_frames_.empty()) {
       frame = free_frames_.back();
       free_frames_.pop_back();
-    } else if (prefetch_window_.size() >= prefetch_window_cap_) {
+    } else if (prefetch_window_.size() >= readahead_bound_) {
       // Window full: readahead recycles its own oldest page instead of
       // squeezing demand-resident pages out of the pool.
       frame = ReclaimPrefetchedLocked();
@@ -511,11 +538,11 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
       if (metrics_.prefetch_used != nullptr) metrics_.prefetch_used->Add(1);
     } else {
       f.prefetch_tagged = true;
-      // The window cap is a hard bound, enforced where the window
-      // grows: even with free frames to spare, readahead keeps at most
-      // prefetch_window_cap_ undemanded pages and recycles its own
-      // oldest (prefetch_wasted) rather than creeping over the pool.
-      while (prefetch_window_.size() >= prefetch_window_cap_) {
+      // The window bound is hard, enforced where the window grows: even
+      // with free frames to spare, readahead keeps at most B undemanded
+      // pages and recycles its own oldest (prefetch_wasted) rather than
+      // creeping over the pool.
+      while (prefetch_window_.size() >= readahead_bound_) {
         const buffer::FrameId reclaimed = ReclaimPrefetchedLocked();
         if (reclaimed == buffer::kInvalidFrame) break;  // All pinned.
         free_frames_.push_back(reclaimed);
@@ -580,6 +607,7 @@ PoolPrefetchStats ConcurrentBufferPool::PrefetchStatsSnapshot() const {
   s.issued = prefetch_issued_.load(std::memory_order_relaxed);
   s.used = prefetch_used_.load(std::memory_order_relaxed);
   s.wasted = prefetch_wasted_.load(std::memory_order_relaxed);
+  s.dropped = prefetch_dropped_.load(std::memory_order_relaxed);
   s.coalesced_misses = coalesced_misses_.load(std::memory_order_relaxed);
   s.device_reads = device_reads_.load(std::memory_order_relaxed);
   return s;
@@ -606,6 +634,8 @@ void ConcurrentBufferPool::BindMetrics(obs::MetricsRegistry* registry,
       prefix + ".prefetch_used", "prefetched pages later demand-touched");
   metrics_.prefetch_wasted = registry->AddCounter(
       prefix + ".prefetch_wasted", "prefetched pages reclaimed untouched");
+  metrics_.prefetch_dropped = registry->AddCounter(
+      prefix + ".prefetch_dropped", "readahead hints dropped at the bound");
   metrics_.coalesced_misses = registry->AddCounter(
       prefix + ".coalesced_misses",
       "fetches that joined an in-flight load instead of reading");

@@ -51,24 +51,32 @@
 // loads' kReading device transfers are outstanding concurrently — page
 // n decodes while page n+1's read is in flight.
 //
-// Readahead (prefetch_depth > 0). Prefetch(plan) enqueues hinted pages
-// onto a bounded queue drained by prefetch_depth background I/O workers.
+// Readahead (prefetch_depth > 0). prefetch_depth is the number of pages
+// each term scan reads ahead of its demand fetches (the evaluators'
+// buffer::ReadaheadCursor hints them through Prefetch). The pool sizes
+// one bound from it, B = min(max(64, 8*prefetch_depth), capacity/2),
+// which caps three things: the hint queue (hints past it are dropped and
+// counted prefetch_dropped), the background I/O workers and hence the
+// outstanding readahead reads (workers start lazily — one is added when a
+// hint is queued and no worker is idle), and the prefetch-tagged window.
 // A readahead load runs the same FSM and the same resilient read path as
 // a demand miss (retry/backoff, breaker accounting, fault injection —
 // a faulted readahead read is silently dropped and the demand fetch
-// later degrades exactly as it would have without the hint). On success
+// later degrades exactly as it would have without the hint; while the
+// breaker is open or half-open, hints are dropped unread so the probe
+// slot stays with demand fetches). On success
 // the page is published into an *unpinned, prefetch-tagged* frame: the
 // replacement policy is NOT told about the frame (no OnInsert), so
 // victim choice is undistorted until a demand fetch touches the page —
 // promotion then runs OnInsert, unmarks the tag and counts
-// prefetch_used. Tagged frames live in a bounded FIFO window
-// (min(2*prefetch_depth, capacity/2)); when the window is full the next
-// readahead reclaims the oldest tagged frame (counted prefetch_wasted —
-// it was read but never demanded), so readahead can never consume more
-// than the window's share of the pool. Demand evictions reclaim tagged
-// frames only as a last resort when every untagged frame is pinned.
-// With prefetch_depth == 0 the pipeline is inert: no worker threads
-// exist, Prefetch returns immediately, no frame is ever tagged, and the
+// prefetch_used. Tagged frames live in a FIFO window of at most B
+// frames; when the window is full the next readahead reclaims the
+// oldest tagged frame (counted prefetch_wasted — it was read but never
+// demanded), so readahead can never consume more than half the pool.
+// Demand evictions reclaim tagged frames only as a last resort when
+// every untagged frame is pinned. With prefetch_depth == 0 the pipeline
+// is inert: no worker thread is ever started, Prefetch returns
+// immediately, no frame is ever tagged, and the
 // pool's counters, policy-callback sequence and frame handout order are
 // bit-identical to the pre-async pool.
 //
@@ -124,11 +132,13 @@ struct ConcurrentPoolOptions {
   /// transfer, so it is slept between the read's two phases (after
   /// BeginRead, before the FinishRead decode).
   uint32_t io_delay_us_per_miss = 0;
-  /// Readahead slots: the number of background I/O worker threads that
-  /// drain Prefetch() plans, and hence the bound on outstanding
-  /// readahead reads. 0 (the default) disables readahead entirely — no
-  /// threads are created and the pool behaves bit-identically to the
-  /// synchronous pool.
+  /// Pages each term scan reads ahead of its demand fetches (returned by
+  /// PrefetchDepth()). The pool derives its readahead bound from it:
+  /// B = min(max(64, 8*prefetch_depth), capacity/2) bounds the hint
+  /// queue, the lazily started I/O workers (so outstanding readahead
+  /// reads) and the prefetch-tagged window. 0 (the default) disables
+  /// readahead entirely — no thread is ever created and the pool
+  /// behaves bit-identically to the synchronous pool.
   size_t prefetch_depth = 0;
   /// Retry/backoff + circuit breaker in front of miss-path reads.
   /// Disabled by default: reads then call the disk directly. Readahead
@@ -156,6 +166,8 @@ struct PoolPrefetchStats {
   uint64_t used = 0;
   /// Prefetched pages reclaimed before any demand touch.
   uint64_t wasted = 0;
+  /// Hints dropped because the hint queue already held B entries.
+  uint64_t dropped = 0;
   /// Demand fetches that joined an in-flight load instead of issuing
   /// their own disk read (counted as hits in BufferStats).
   uint64_t coalesced_misses = 0;
@@ -213,15 +225,16 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
 
   buffer::BufferStats StatsSnapshot() const override;
 
-  /// Readahead slots (== options.prefetch_depth). Evaluators consult
-  /// this before building a PageAccessPlan.
+  /// Pages each scan reads ahead (== options.prefetch_depth); the
+  /// evaluators' ReadaheadCursor slides its hints this far ahead.
   size_t PrefetchDepth() const override { return options_.prefetch_depth; }
 
-  /// Enqueues hinted pages for the background I/O workers. Pages
-  /// already resident or already in flight are skipped (at dequeue
-  /// time, so the hint path stays cheap); excess entries beyond the
-  /// queue bound are dropped — a plan is a hint, not a contract. No-op
-  /// when prefetch_depth == 0.
+  /// Enqueues hinted pages for the background I/O workers, starting a
+  /// worker for a hint no idle worker will take (at most B workers).
+  /// Pages already resident or already in flight are skipped (at
+  /// dequeue time, so the hint path stays cheap); entries past the
+  /// queue bound B are dropped and counted — a plan is a hint, not a
+  /// contract. No-op when prefetch_depth == 0.
   void Prefetch(buffer::PageAccessPlan plan) override
       IRBUF_EXCLUDES(prefetch_mu_);
 
@@ -391,7 +404,8 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   void ReleaseFailedLoad(uint64_t key, buffer::FrameId frame)
       IRBUF_EXCLUDES(latch_mu_);
 
-  /// Background I/O worker: drains prefetch_queue_ until shutdown.
+  /// Background I/O worker: drains prefetch_queue_ until shutdown,
+  /// counted in idle_workers_ while it waits for a hint.
   void PrefetchWorkerLoop();
 
   /// Loads one hinted page end to end (dequeue side of Prefetch).
@@ -405,6 +419,7 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
     obs::Counter* prefetch_issued = nullptr;
     obs::Counter* prefetch_used = nullptr;
     obs::Counter* prefetch_wasted = nullptr;
+    obs::Counter* prefetch_dropped = nullptr;
     obs::Counter* coalesced_misses = nullptr;
   };
 
@@ -428,7 +443,7 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   std::shared_ptr<const buffer::QueryContext> context_
       IRBUF_GUARDED_BY(latch_mu_);
   /// FIFO of prefetch-tagged frames, oldest first; bounded by
-  /// prefetch_window_cap_. Frames leave on promotion or reclaim.
+  /// readahead_bound_. Frames leave on promotion or reclaim.
   std::deque<buffer::FrameId> prefetch_window_ IRBUF_GUARDED_BY(latch_mu_);
   EvictionObserver eviction_observer_ IRBUF_GUARDED_BY(latch_mu_);
 
@@ -448,6 +463,7 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   std::atomic<uint64_t> prefetch_issued_{0};
   std::atomic<uint64_t> prefetch_used_{0};
   std::atomic<uint64_t> prefetch_wasted_{0};
+  std::atomic<uint64_t> prefetch_dropped_{0};
   std::atomic<uint64_t> coalesced_misses_{0};
   MetricHandles metrics_;
   /// Contention accounting the constructor attaches to latch_mu_ and
@@ -457,23 +473,25 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   /// Thread-safe miss-path retry/breaker wrapper; null = plain reads.
   std::unique_ptr<fault::ResilientReader> resilient_;
 
+  /// B = min(max(64, 8*prefetch_depth), capacity/2), at least 1; 0 with
+  /// readahead off. Bounds the hint queue, the I/O workers and the
+  /// prefetch-tagged window.
+  const size_t readahead_bound_;
+
   /// Readahead plumbing. prefetch_mu_ is a leaf lock protecting only
-  /// the hint queue + stop flag: Prefetch() enqueues under it and the
-  /// workers dequeue under it, but all actual load work (frame
-  /// reservation, I/O, publish) runs with it released, so the hint path
-  /// never serializes against the latch or a stripe.
+  /// the hint queue, the worker set and the stop flag: Prefetch()
+  /// enqueues under it and the workers dequeue under it, but all actual
+  /// load work (frame reservation, I/O, publish) runs with it released,
+  /// so the hint path never serializes against the latch or a stripe.
   mutable Mutex prefetch_mu_;
   CondVar prefetch_cv_;
   std::deque<uint64_t> prefetch_queue_ IRBUF_GUARDED_BY(prefetch_mu_);
   bool prefetch_stop_ IRBUF_GUARDED_BY(prefetch_mu_) = false;
-  /// Queue bound: hints past this are dropped (stale hints would only
-  /// waste reads). Set once in the constructor.
-  size_t prefetch_queue_cap_ = 0;
-  /// Tagged-window bound: min(2*prefetch_depth, capacity/2), >= 1 when
-  /// readahead is on. Set once in the constructor.
-  size_t prefetch_window_cap_ = 0;
-  /// Joined (in order) by the destructor after prefetch_stop_ is set.
-  std::vector<std::thread> prefetch_workers_;
+  /// Workers waiting on prefetch_cv_ for a hint.
+  size_t idle_workers_ IRBUF_GUARDED_BY(prefetch_mu_) = 0;
+  /// Started by Prefetch, at most readahead_bound_; joined (in order)
+  /// by the destructor after prefetch_stop_ is set.
+  std::vector<std::thread> prefetch_workers_ IRBUF_GUARDED_BY(prefetch_mu_);
 };
 
 }  // namespace irbuf::serve

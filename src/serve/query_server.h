@@ -100,8 +100,7 @@ struct ServerOptions {
   bool shared_context = false;
   /// Simulated device latency per buffer miss (see ConcurrentPoolOptions).
   uint32_t io_delay_us_per_miss = 0;
-  /// Readahead slots on the shared pool: background I/O workers that
-  /// service the evaluators' page-access plans (see
+  /// Pages each term scan reads ahead on the shared pool (see
   /// ConcurrentPoolOptions::prefetch_depth). 0 (default) disables
   /// readahead — the pool then behaves bit-identically to a server
   /// without the async pipeline.

@@ -38,11 +38,12 @@ struct ShardedPoolOptions {
   /// Simulated device latency per miss, slept with no lock held (see
   /// ConcurrentPoolOptions); misses on different shards overlap.
   uint32_t io_delay_us_per_miss = 0;
-  /// Readahead slots per shard pool (see
-  /// ConcurrentPoolOptions::prefetch_depth). Each shard runs its own
-  /// background I/O workers, so one query's readahead overlaps across
-  /// shards: the per-shard plans ShardLanes issue are serviced
-  /// concurrently. 0 (default) disables readahead.
+  /// Pages each term scan reads ahead, per shard pool (see
+  /// ConcurrentPoolOptions::prefetch_depth). Each shard pool sizes its
+  /// own bound B = min(max(64, 8*depth), shard capacity/2) on its hint
+  /// queue, lazily started I/O workers and tagged window, so one
+  /// query's readahead overlaps across shards. 0 (default) disables
+  /// readahead.
   size_t prefetch_depth = 0;
   /// Retry/backoff + circuit breaker, instantiated per shard pool (a
   /// tripped breaker on one shard does not brown out the others).

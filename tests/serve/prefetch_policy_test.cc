@@ -100,8 +100,8 @@ TEST(PrefetchPolicyTest, RankingsBitIdenticalPrefetchOnOff) {
 // a readahead window occupies the rest of the pool. The off-pool gets
 // capacity 4; the on-pool gets capacity 8 whose 4 extra frames are
 // filled by readahead pages of a term the demand stream never touches
-// (the window cap for depth 2 is min(2*2, 8/2) = 4, so none of them is
-// ever reclaimed either).
+// (the window bound for depth 2 is min(max(64, 16), 8/2) = 4, so none
+// of them is ever reclaimed either).
 TEST(PrefetchPolicyTest, VictimSequenceUndistortedByUntouchedPrefetch) {
   for (PolicyKind kind : kPolicies) {
     SCOPED_TRACE(Name(kind));
@@ -209,40 +209,51 @@ TEST(PrefetchPolicyTest, DemandTouchPromotesPrefetchedFrame) {
   EXPECT_EQ(stats.misses, 0u);
 }
 
-// The bounded window self-reclaims: readahead beyond the window cap
-// evicts the OLDEST tagged frame (counted wasted, no policy callback),
-// never an untagged one, so readahead cannot consume more than its
-// share of the pool no matter how long the plan is.
+// The bounded window self-reclaims: readahead beyond the bound B evicts
+// the OLDEST tagged frame (counted wasted, no policy callback), never an
+// untagged one, so readahead cannot consume more than its share of the
+// pool no matter how many pages are hinted. Pages are hinted one at a
+// time, each published before the next is hinted, so the window's FIFO
+// order is page order and the reclaim order can be asserted exactly.
 TEST(PrefetchPolicyTest, WindowOverflowReclaimsOldestTaggedOnly) {
-  auto disk = buffer::MakeTestDisk({12});
+  auto disk = buffer::MakeTestDisk({16});
   ConcurrentPoolOptions opts;
   opts.capacity = 16;
-  opts.prefetch_depth = 2;  // Window cap = min(4, 8) = 4.
-  ConcurrentBufferPool pool(disk.get(), opts);
+  opts.prefetch_depth = 2;  // B = min(max(64, 16), 16/2) = 8.
 
+  // Filled by the I/O workers; read only after the pool has joined them.
   std::vector<std::pair<PageId, bool>> evictions;
-  pool.SetEvictionObserver([&](PageId id, bool policy_victim) {
-    evictions.push_back({id, policy_victim});
-  });
+  PoolPrefetchStats ps;
+  uint32_t resident = 0;
+  {
+    ConcurrentBufferPool pool(disk.get(), opts);
+    pool.SetEvictionObserver([&](PageId id, bool policy_victim) {
+      evictions.push_back({id, policy_victim});
+    });
+    for (uint32_t p = 0; p < 14; ++p) {
+      const PageId id{0, p};
+      pool.Prefetch(buffer::PageAccessPlan(&id, 1));
+      WaitUntil([&] { return pool.PrefetchStatsSnapshot().issued == p + 1; },
+                "the hinted page to be read");
+    }
+    WaitUntil([&] { return pool.PrefetchStatsSnapshot().wasted == 6; },
+              "window overflow reclaims");
+    ps = pool.PrefetchStatsSnapshot();
+    resident = pool.ResidentPages(0);
+  }
 
-  std::vector<PageId> plan;
-  for (uint32_t p = 0; p < 10; ++p) plan.push_back(PageId{0, p});
-  pool.Prefetch(buffer::PageAccessPlan(plan.data(), plan.size()));
-  WaitUntil([&] { return pool.PrefetchStatsSnapshot().issued == 10; },
-            "the whole plan to be read");
-  WaitUntil([&] { return pool.PrefetchStatsSnapshot().wasted == 6; },
-            "window overflow reclaims");
-
-  // 10 readaheads through a 4-frame window: 6 reclaimed, oldest first,
+  // 14 readaheads through an 8-frame window: 6 reclaimed, oldest first,
   // every one a non-policy eviction.
-  const PoolPrefetchStats ps = pool.PrefetchStatsSnapshot();
-  EXPECT_EQ(ps.issued, 10u);
+  EXPECT_EQ(ps.issued, 14u);
   EXPECT_EQ(ps.wasted, 6u);
   EXPECT_EQ(ps.used, 0u);
-  for (const auto& [id, policy_victim] : evictions) {
-    EXPECT_FALSE(policy_victim) << "page " << id.page_no;
+  EXPECT_EQ(ps.dropped, 0u);
+  ASSERT_EQ(evictions.size(), 6u);
+  for (size_t i = 0; i < evictions.size(); ++i) {
+    EXPECT_EQ(evictions[i].first.page_no, i) << "reclaim " << i;
+    EXPECT_FALSE(evictions[i].second) << "reclaim " << i;
   }
-  EXPECT_EQ(pool.ResidentPages(0), 4u);  // Exactly the window survives.
+  EXPECT_EQ(resident, 8u);  // Exactly the window survives.
 }
 
 }  // namespace
