@@ -10,6 +10,15 @@
 // is tombstone-free and probe chains never degrade. DocId 0xFFFFFFFF is
 // reserved as the empty-slot sentinel (collections are bounded far
 // below 2^32 documents).
+//
+// A membership bitmap (one bit per doc id, 64-bit words) sits in front
+// of the table. Once the insertion threshold has cut the candidate set
+// down, almost every posting is an add-mode FindOrNull for a document
+// that is not a candidate; the bitmap answers those with one bit test
+// instead of a probe chain, and a member's probe is a guaranteed hit.
+// The bitmap covers ids below kBitmapIds (2 MiB of bits at most); keys
+// at or above it, which no collection this system builds reaches, fall
+// back to a plain table probe so a stray huge id cannot balloon memory.
 
 #ifndef IRBUF_CORE_ACCUMULATOR_SET_H_
 #define IRBUF_CORE_ACCUMULATOR_SET_H_
@@ -31,18 +40,18 @@ class AccumulatorSet {
 
   /// Pointer to d's accumulator, or nullptr when d is not a candidate.
   /// Never allocates: this is the probe the DF "add" mode and the
-  /// quit/continue budget check issue once per posting.
+  /// quit/continue budget check issue once per posting. A non-member
+  /// costs one bit test, and ids past the bitmap cost none unless a key
+  /// at or above kBitmapIds was ever inserted.
   double* FindOrNull(DocId d) {
-    // The sentinel id would alias empty slots (the k == d test below
-    // matches kEmpty first, handing back an unoccupied slot's value).
-    if (d == kEmpty || mask_ == 0) return nullptr;
-    size_t i = Hash(d) & mask_;
-    while (true) {
-      const DocId k = keys_[i];
-      if (k == d) return &vals_[i];
-      if (k == kEmpty) return nullptr;
-      i = (i + 1) & mask_;
+    const size_t w = d >> 6;
+    if (w < bits_.size()) {
+      if (((bits_[w] >> (d & 63)) & 1) == 0) return nullptr;
+      size_t i = Hash(d) & mask_;
+      while (keys_[i] != d) i = (i + 1) & mask_;
+      return &vals_[i];
     }
+    return has_far_keys_ ? ProbeFar(d) : nullptr;
   }
   const double* FindOrNull(DocId d) const {
     return const_cast<AccumulatorSet*>(this)->FindOrNull(d);
@@ -54,10 +63,6 @@ class AccumulatorSet {
     bool inserted;
     return FindOrInsertImpl(d, &inserted);
   }
-
-  /// Compatibility aliases for the pre-rewrite API.
-  double* Find(DocId d) { return FindOrNull(d); }
-  const double* Find(DocId d) const { return FindOrNull(d); }
 
   /// Inserts a new accumulator and returns a reference to it. Like
   /// unordered_map::emplace, an already-present d keeps its current
@@ -72,9 +77,11 @@ class AccumulatorSet {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Empties the set, keeping the table allocation.
+  /// Empties the set, keeping the table and bitmap allocations.
   void Clear() {
     std::fill(keys_.begin(), keys_.end(), kEmpty);
+    std::fill(bits_.begin(), bits_.end(), 0);
+    has_far_keys_ = false;
     size_ = 0;
   }
 
@@ -116,6 +123,7 @@ class AccumulatorSet {
  private:
   static constexpr DocId kEmpty = 0xFFFFFFFFu;
   static constexpr size_t kInitialCapacity = 16;
+  static constexpr size_t kBitmapIds = size_t{1} << 24;
 
   /// Fibonacci hashing: the golden-ratio multiplier spreads consecutive
   /// and strided doc ids across the table; the top product bits feed the
@@ -125,13 +133,29 @@ class AccumulatorSet {
         (static_cast<uint64_t>(d) * 0x9E3779B97F4A7C15ull) >> 32);
   }
 
+  /// The bitmap-less probe, for ids the bitmap does not cover. The
+  /// sentinel id would alias empty slots (the k == d test matches kEmpty
+  /// first, handing back an unoccupied slot's value).
+  double* ProbeFar(DocId d) {
+    if (d == kEmpty) return nullptr;
+    size_t i = Hash(d) & mask_;
+    while (true) {
+      const DocId k = keys_[i];
+      if (k == d) return &vals_[i];
+      if (k == kEmpty) return nullptr;
+      i = (i + 1) & mask_;
+    }
+  }
+
   double& FindOrInsertImpl(DocId d, bool* inserted) {
     IRBUF_DCHECK(d != kEmpty, "DocId 0xFFFFFFFF is reserved");
-    // Grow at 1/2 load. The DF add mode probes for documents that are
-    // mostly NOT candidates, and linear-probing miss chains blow up
-    // quadratically with load (~32 probes at 7/8 load vs ~2.5 at 1/2),
-    // so the table trades memory — still well under the map's per-node
-    // overhead — for guaranteed-short misses.
+    if ((d >> 6) >= bits_.size()) GrowBits(d);
+    // Grow at 1/2 load. Inserting a new key walks a miss chain to an
+    // empty slot, and linear-probing miss chains blow up quadratically
+    // with load (~32 probes at 7/8 load vs ~2.5 at 1/2), so the table
+    // trades memory — still well under the map's per-node overhead —
+    // for guaranteed-short misses. Add-mode misses stop at the bitmap
+    // and never walk a chain.
     if ((size_ + 1) * 2 > mask_ + 1) Grow();
     // LINT-HOT-LOOP: accumulator probe chain.
     size_t i = Hash(d) & mask_;
@@ -144,6 +168,8 @@ class AccumulatorSet {
       if (k == kEmpty) {
         keys_[i] = d;
         vals_[i] = 0.0;
+        const size_t w = d >> 6;
+        if (w < bits_.size()) bits_[w] |= uint64_t{1} << (d & 63);
         ++size_;
         *inserted = true;
         return vals_[i];
@@ -172,8 +198,25 @@ class AccumulatorSet {
     }
   }
 
+  // Bitmap growth to cover doc id d: at least doubling, so ascending
+  // insertions cost O(1) amortized, and never past kBitmapIds. The
+  // bitmap stays under twice (largest inserted id)/8 bytes; it is
+  // num_docs/8 when the first candidates already span the id range.
+  // irbuf-analyzer: amortized-alloc
+  void GrowBits(DocId d) {
+    if (d >= kBitmapIds) {
+      has_far_keys_ = true;
+      return;
+    }
+    const size_t need = (static_cast<size_t>(d) >> 6) + 1;
+    bits_.resize(std::min(std::max(need, bits_.size() * 2), kBitmapIds / 64),
+                 0);
+  }
+
   std::vector<DocId> keys_;
   std::vector<double> vals_;
+  std::vector<uint64_t> bits_;  // Bit d set iff d is a key.
+  bool has_far_keys_ = false;   // Some key is >= kBitmapIds.
   size_t size_ = 0;
   size_t mask_ = 0;  // capacity - 1; 0 while the table is unallocated.
 };

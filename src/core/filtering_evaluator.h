@@ -177,7 +177,8 @@ struct EvalResult {
 /// i.e. shortest inverted lists first; ties broken by list length then
 /// term id for determinism. Exposed so a sharded coordinator can drive
 /// every shard through the exact order the unsharded evaluator uses —
-/// the first ingredient of the sharded/unsharded ranking identity.
+/// the first ingredient of the sharded/unsharded ranking identity — and
+/// so quit/continue processes terms in DF's order.
 std::vector<QueryTerm> DfTermOrder(const Query& query,
                                    const index::Lexicon& lexicon);
 

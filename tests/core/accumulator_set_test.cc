@@ -36,6 +36,53 @@ TEST(AccumulatorSetTest, SentinelIdNeverAliasesEmptySlots) {
   EXPECT_EQ(acc.size(), 100u);
 }
 
+TEST(AccumulatorSetTest, MembershipAtWordBoundaries) {
+  // The bitmap stores 64 ids per word: ids 63/64 straddle the first word
+  // boundary, so an off-by-one in the shift or mask shows up here.
+  AccumulatorSet acc;
+  for (DocId d : {0u, 63u, 64u, 65u}) acc.Insert(d, 1.0 + d);
+  for (DocId d : {0u, 63u, 64u, 65u}) {
+    double* a = acc.FindOrNull(d);
+    ASSERT_NE(a, nullptr) << d;
+    EXPECT_EQ(*a, 1.0 + d);
+  }
+  for (DocId d : {1u, 62u, 66u, 127u, 128u, 129u}) {
+    EXPECT_EQ(acc.FindOrNull(d), nullptr) << d;
+  }
+  EXPECT_EQ(acc.size(), 4u);
+}
+
+TEST(AccumulatorSetTest, IdsPastLargestInsertedIdMiss) {
+  AccumulatorSet acc;
+  for (DocId d = 0; d < 1000; d += 7) acc.FindOrInsert(d) = 1.0;
+  for (DocId d : {995u, 1000u, 1023u, 1024u, 4096u, 1u << 20, 0x00FFFFFFu,
+                  0x01000000u, 0xFFFFFFFEu}) {
+    EXPECT_EQ(acc.FindOrNull(d), nullptr) << d;
+  }
+  EXPECT_NE(acc.FindOrNull(994), nullptr);
+}
+
+TEST(AccumulatorSetTest, FarIdsBeyondBitmapAreStillFound) {
+  // Ids from 2^24 up are kept out of the bitmap (a stray huge id must
+  // not allocate hundreds of MB); they live in the table alone.
+  AccumulatorSet acc;
+  const std::vector<DocId> ids = {3u, 0x00FFFFFFu, 0x01000000u,
+                                  0x7FFFFFFFu, 0xFFFFFFFEu, 100u};
+  for (size_t i = 0; i < ids.size(); ++i) acc.Insert(ids[i], 0.5 * i);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    double* a = acc.FindOrNull(ids[i]);
+    ASSERT_NE(a, nullptr) << ids[i];
+    EXPECT_EQ(*a, 0.5 * i);
+  }
+  EXPECT_EQ(acc.FindOrNull(0x01000001u), nullptr);
+  EXPECT_EQ(acc.FindOrNull(4), nullptr);
+  // Far keys switch uncovered ids to the plain probe, where the
+  // sentinel must still miss rather than alias an empty slot.
+  EXPECT_EQ(acc.FindOrNull(0xFFFFFFFFu), nullptr);
+  acc.Clear();
+  for (DocId d : ids) EXPECT_EQ(acc.FindOrNull(d), nullptr) << d;
+}
+
 TEST(AccumulatorSetTest, FindOrInsertCreatesZeroInitialized) {
   AccumulatorSet acc;
   double& a = acc.FindOrInsert(7);
@@ -118,6 +165,24 @@ TEST(AccumulatorSetTest, IterationVisitsEveryAccumulatorOnce) {
   }
 }
 
+TEST(AccumulatorSetTest, ClearForgetsEveryMember) {
+  AccumulatorSet acc;
+  std::vector<DocId> ids;
+  for (DocId d = 0; d < 5000; d += 3) ids.push_back(d * 11);
+  for (DocId d : ids) acc.FindOrInsert(d) = 4.0;
+  acc.Clear();
+  EXPECT_TRUE(acc.empty());
+  for (DocId d : ids) ASSERT_EQ(acc.FindOrNull(d), nullptr) << d;
+  // Still a working set afterwards: reinserted keys start from zero and
+  // the forgotten ones stay forgotten.
+  acc.FindOrInsert(ids[7]) += 1.5;
+  acc.FindOrInsert(64) += 2.5;
+  EXPECT_EQ(acc.size(), 2u);
+  EXPECT_EQ(*acc.FindOrNull(ids[7]), 1.5);
+  EXPECT_EQ(*acc.FindOrNull(64), 2.5);
+  EXPECT_EQ(acc.FindOrNull(ids[8]), nullptr);
+}
+
 TEST(AccumulatorSetTest, ClearKeepsTableUsable) {
   AccumulatorSet acc;
   for (DocId d = 0; d < 1000; ++d) acc.FindOrInsert(d) = 1.0;
@@ -165,6 +230,62 @@ TEST(AccumulatorSetTest, SizeMatchesMapOnRecordedDfTrace) {
     ASSERT_NE(a, nullptr);
     EXPECT_EQ(*a, v);
   }
+}
+
+// The stream DF's add mode issues at full scale: the insertion threshold
+// has cut the candidate set to ~450 of 173,252 documents, and nearly
+// every later posting probes FindOrNull for a non-member. Each probe's
+// answer is checked against std::unordered_map, over several queries
+// that reuse one set through Clear().
+TEST(AccumulatorSetTest, AddModeStreamMatchesMap) {
+  constexpr uint32_t kNumDocs = 173252;
+  Pcg32 rng(13);
+  AccumulatorSet acc;
+  std::unordered_map<DocId, double> reference;
+  uint64_t member_probes = 0;
+  uint64_t probes = 0;
+  for (int query = 0; query < 6; ++query) {
+    acc.Clear();
+    reference.clear();
+    std::vector<DocId> members;
+    for (int i = 0; i < 450; ++i) {
+      const DocId d = rng.NextBounded(kNumDocs);
+      const double w = 1.0 + rng.NextBounded(64) / 8.0;
+      acc.FindOrInsert(d) += w;
+      reference[d] += w;
+      members.push_back(d);
+    }
+    ASSERT_EQ(acc.size(), reference.size());
+    for (int i = 0; i < 36000; ++i) {
+      // ~3% of add-mode postings land on a candidate.
+      const DocId d = rng.NextBounded(100) < 3
+                          ? members[rng.NextBounded(450)]
+                          : rng.NextBounded(kNumDocs);
+      const double w = 0.25 * (1 + rng.NextBounded(8));
+      double* a = acc.FindOrNull(d);
+      auto it = reference.find(d);
+      ++probes;
+      ASSERT_EQ(a != nullptr, it != reference.end())
+          << "query " << query << " doc " << d;
+      if (a == nullptr) continue;
+      ++member_probes;
+      *a += w;
+      it->second += w;
+      ASSERT_EQ(*a, it->second);
+    }
+    ASSERT_EQ(acc.size(), reference.size());
+    size_t visited = 0;
+    for (const auto& [doc, val] : acc) {
+      ++visited;
+      auto it = reference.find(doc);
+      ASSERT_NE(it, reference.end()) << doc;
+      EXPECT_EQ(val, it->second);
+    }
+    EXPECT_EQ(visited, reference.size());
+  }
+  // Most probes are non-members, the shape the bitmap is built for.
+  EXPECT_LT(member_probes * 10, probes);
+  EXPECT_GT(member_probes, 0u);
 }
 
 // Regression pin for the amortized-alloc contract on
