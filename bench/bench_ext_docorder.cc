@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "buffer/buffer_manager.h"
 #include "core/quit_continue_evaluator.h"
 #include "metrics/effectiveness.h"
+#include "serve/concurrent_buffer_pool.h"
 #include "util/str.h"
 
 using namespace irbuf;
@@ -131,10 +131,11 @@ int main() {
         options.accumulator_limit = s.limit;
         core::QuitContinueEvaluator evaluator(&freq_corpus.index(),
                                               options);
-        buffer::BufferManager pool(
+        serve::ConcurrentBufferPool pool(
             &freq_corpus.index().disk(),
-            ir::TotalQueryPages(freq_corpus.index(), topics[ti].query) + 1,
-            buffer::MakePolicy(buffer::PolicyKind::kLru));
+            serve::PoolOptions(
+                ir::TotalQueryPages(freq_corpus.index(), topics[ti].query) +
+                1));
         auto r = evaluator.Evaluate(topics[ti].query, &pool);
         if (!r.ok()) return 1;
         er = std::move(r).value();

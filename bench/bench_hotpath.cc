@@ -38,11 +38,11 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "buffer/buffer_manager.h"
 #include "buffer/policy_factory.h"
 #include "core/accumulator_set.h"
 #include "core/scorer.h"
 #include "index/conversion_table.h"
+#include "serve/concurrent_buffer_pool.h"
 #include "util/rng.h"
 #include "util/str.h"
 
@@ -439,8 +439,7 @@ void BenchEvalQueries(bench::TelemetryFile* out) {
 void BenchBufferFetchDecoded(bench::TelemetryFile* out) {
   const corpus::SyntheticCorpus& corpus = bench::GetCorpus();
   const index::InvertedIndex& index = corpus.index();
-  buffer::BufferManager pool(&index.disk(), 128,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&index.disk(), serve::PoolOptions(128));
   // Warm a resident working set smaller than the pool, then measure the
   // pure hit path: pin, read one posting from the decoded block, unpin.
   std::vector<PageId> resident;
@@ -452,7 +451,7 @@ void BenchBufferFetchDecoded(bench::TelemetryFile* out) {
     }
   }
   for (PageId id : resident) {
-    if (!pool.FetchPage(id).ok()) std::abort();
+    if (!pool.FetchPinned(id).ok()) std::abort();
   }
   Pcg32 rng(99);
   std::vector<PageId> sequence(4096);

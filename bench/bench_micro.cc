@@ -7,12 +7,12 @@
 
 #include <unordered_map>
 
-#include "buffer/buffer_manager.h"
 #include "buffer/policy_factory.h"
 #include "core/accumulator_set.h"
 #include "core/top_n.h"
 #include "index/index_builder.h"
 #include "obs/span.h"
+#include "serve/concurrent_buffer_pool.h"
 #include "storage/codec.h"
 #include "text/porter_stemmer.h"
 #include "text/tokenizer.h"
@@ -165,8 +165,8 @@ const index::InvertedIndex& MicroIndex() {
 void BM_BufferFetch(benchmark::State& state) {
   const index::InvertedIndex& index = MicroIndex();
   auto kind = static_cast<buffer::PolicyKind>(state.range(0));
-  buffer::BufferManager pool(&index.disk(), 64,
-                             buffer::MakePolicy(kind));
+  serve::ConcurrentBufferPool pool(&index.disk(),
+                                   serve::PoolOptions(64, kind));
   buffer::QueryContext ctx;
   for (TermId t = 0; t < 8; ++t) ctx.SetWeight(t, 1.0 + t);
   pool.SetQueryContext(std::move(ctx));
@@ -174,7 +174,9 @@ void BM_BufferFetch(benchmark::State& state) {
   for (auto _ : state) {
     TermId term = rng.NextBounded(8);
     uint32_t page = rng.NextBounded(index.lexicon().info(term).pages);
-    benchmark::DoNotOptimize(pool.FetchPage(PageId{term, page}));
+    // The guard unpins at the end of the iteration, as an evaluator's
+    // does before its next fetch.
+    benchmark::DoNotOptimize(pool.FetchPinned(PageId{term, page}));
   }
   state.SetLabel(buffer::PolicyKindName(kind));
 }

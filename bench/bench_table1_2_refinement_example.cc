@@ -13,8 +13,8 @@
 #include <cmath>
 
 #include "bench_util.h"
-#include "buffer/buffer_manager.h"
 #include "core/filtering_evaluator.h"
+#include "serve/concurrent_buffer_pool.h"
 #include "util/str.h"
 
 using namespace irbuf;
@@ -174,9 +174,8 @@ int main() {
   for (bool buffer_aware : {false, true}) {
     options.buffer_aware = buffer_aware;
     core::FilteringEvaluator evaluator(&index, options);
-    buffer::BufferManager pool(
-        &index.disk(), pool_pages,
-        buffer::MakePolicy(buffer::PolicyKind::kLru));
+    serve::ConcurrentBufferPool pool(&index.disk(),
+                                     serve::PoolOptions(pool_pages));
     auto warm = evaluator.Evaluate(original, &pool);
     if (!warm.ok()) {
       std::fprintf(stderr, "warm-up failed\n");

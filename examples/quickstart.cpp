@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nbuffer pool: %llu fetches, %.0f%% hit rate\n",
               static_cast<unsigned long long>(
-                  system.buffers().stats().fetches),
-              system.buffers().stats().HitRate() * 100.0);
+                  system.buffers().StatsSnapshot().fetches),
+              system.buffers().StatsSnapshot().HitRate() * 100.0);
   return 0;
 }

@@ -1,8 +1,9 @@
-// The buffer-pool abstraction shared by the single-threaded simulator
-// pool (BufferManager) and the concurrent serving pool
-// (serve::ConcurrentBufferPool): evaluators fetch pages through a
-// pin/unpin protocol, so a fetched page cannot be evicted while its
-// postings are being read.
+// The buffer-pool abstraction the evaluators are written against.
+// serve::ConcurrentBufferPool is its one implementation, driven by one
+// thread in the simulator and by every server worker when serving;
+// decorators (such as the benchmark's timing pool) wrap it. Evaluators
+// fetch pages through a pin/unpin protocol, so a fetched page cannot be
+// evicted while its postings are being read.
 //
 // The pin protocol. FetchPinned returns a PinnedPage RAII guard; while
 // the guard is alive the frame holding the page is pinned and will never
@@ -114,8 +115,8 @@ class PinnedPage {
   bool was_miss_ = false;
 };
 
-/// What query evaluation needs from a buffer pool. Implemented by the
-/// single-threaded BufferManager and by the thread-safe serving pool;
+/// What query evaluation needs from a buffer pool. Implemented by
+/// serve::ConcurrentBufferPool (and by decorators around it);
 /// evaluators are written against this interface only.
 class BufferPool {
  public:
@@ -132,10 +133,10 @@ class BufferPool {
   virtual uint32_t ResidentPages(TermId term) const = 0;
 
   /// Installs the current query's term weights for ranking-aware
-  /// policies. A single-user pool adopts them directly; the serving
-  /// pool does too, unless a serve::SharedQueryContext is attached —
-  /// then the replacement context is the merged weights of every
-  /// in-flight query and this call becomes a no-op.
+  /// policies. The pool adopts them directly, unless a context
+  /// publisher (serve::SharedQueryContext, the multi-user driver) owns
+  /// the context — then the replacement context is the merged weights of
+  /// every active query and this call becomes a no-op.
   virtual void SetQueryContext(QueryContext context) = 0;
 
   /// Point-in-time copy of the pool counters (taken atomically enough
@@ -151,8 +152,8 @@ class BufferPool {
   /// Entries already resident or already in flight are skipped by
   /// implementations; a failed or dropped readahead read is silent —
   /// the demand fetch retries it and degrades exactly as it would have
-  /// without the hint. Default: no-op (the single-threaded
-  /// BufferManager and test pools ignore plans).
+  /// without the hint. Default: no-op (decorators that do not forward
+  /// plans ignore them).
   virtual void Prefetch(PageAccessPlan plan) { (void)plan; }
 
  private:

@@ -1,8 +1,9 @@
-// The buffer subsystem's runtime contracts, shared by the
-// single-threaded BufferManager and the concurrent serving pool. Each
-// helper guards one invariant that the thread-safety annotations and
-// the lock-ordering table in DESIGN.md document statically; the death
-// tests in tests/buffer/contracts_test.cc prove every check fires.
+// The buffer subsystem's runtime contracts, checked by the buffer pool
+// (serve::ConcurrentBufferPool) on its fetch, eviction and unpin paths
+// and at destruction. Each helper guards one invariant that the
+// thread-safety annotations and the lock-ordering table in DESIGN.md
+// document statically; the death tests in
+// tests/buffer/contracts_test.cc prove every check fires.
 
 #ifndef IRBUF_BUFFER_CONTRACTS_H_
 #define IRBUF_BUFFER_CONTRACTS_H_

@@ -56,7 +56,8 @@ struct EvalOptions {
   /// never changes results or counters — untraced runs (nullptr) pay a
   /// predictable branch per event site and nothing else. Note this only
   /// covers evaluator-side events; install the same tracer on the
-  /// BufferManager (SetTracer) for fetch/eviction events.
+  /// buffer pool (ConcurrentBufferPool::SetTracer) for fetch/eviction
+  /// events.
   obs::QueryTracer* tracer = nullptr;
   /// Optional latency-attribution recorder (obs/span.h): times the
   /// context snapshot, each term's list traversal, every page pin, the
@@ -263,7 +264,7 @@ class FilteringEvaluator {
   /// that persistence is exactly what refinement workloads exercise.
   /// Pages are accessed through the pin/unpin protocol (one page pinned
   /// at a time), so the same evaluator code runs unchanged against the
-  /// single-threaded BufferManager and the concurrent serving pool.
+  /// single-threaded simulator and the concurrent server.
   ///
   /// Device-level read failures (kUnavailable, kCorrupted, kIOError —
   /// retries already exhausted below the pool) degrade the result

@@ -40,6 +40,8 @@ Status ReadProfile(BinaryReader* reader, WsjProfile* profile) {
   IRBUF_RETURN_NOT_OK(reader->ReadU32(&profile->multi_page_terms));
   uint32_t num_groups = 0;
   IRBUF_RETURN_NOT_OK(reader->ReadU32(&num_groups));
+  // A group is at least a string length, two doubles and five u32s.
+  IRBUF_RETURN_NOT_OK(reader->CheckCount(num_groups, 4 + 2 * 8 + 5 * 4));
   profile->groups.resize(num_groups);
   for (IdfGroup& g : profile->groups) {
     IRBUF_RETURN_NOT_OK(reader->ReadString(&g.name));
@@ -82,6 +84,7 @@ Status ReadTopic(BinaryReader* reader, Topic* topic) {
   }
   uint32_t num_relevant = 0;
   IRBUF_RETURN_NOT_OK(reader->ReadU32(&num_relevant));
+  IRBUF_RETURN_NOT_OK(reader->CheckCount(num_relevant, 4));
   topic->relevant_docs.resize(num_relevant);
   for (uint32_t i = 0; i < num_relevant; ++i) {
     IRBUF_RETURN_NOT_OK(reader->ReadU32(&topic->relevant_docs[i]));
@@ -125,6 +128,8 @@ Result<std::unique_ptr<SyntheticCorpus>> LoadCorpus(
   IRBUF_RETURN_NOT_OK(ReadProfile(&r, &profile));
   uint32_t num_topics = 0;
   IRBUF_RETURN_NOT_OK(r.ReadU32(&num_topics));
+  // A topic is at least its title length, term count and relevant count.
+  IRBUF_RETURN_NOT_OK(r.CheckCount(num_topics, 3 * 4));
   std::vector<Topic> topics(num_topics);
   for (Topic& topic : topics) {
     IRBUF_RETURN_NOT_OK(ReadTopic(&r, &topic));

@@ -1,5 +1,6 @@
-// ResilientReader: the one retry loop shared by BufferManager and
-// serve::ConcurrentBufferPool. Wraps a page-read callback with
+// ResilientReader: the buffer pool's (serve::ConcurrentBufferPool) one
+// retry loop, shared by demand misses and readahead reads. Wraps a
+// page-read callback with
 //
 //   1. a circuit-breaker gate (fail fast while the device is down),
 //   2. bounded retry with exponential backoff + jitter for retryable

@@ -119,6 +119,7 @@ Result<InvertedIndex> ReadIndex(BinaryReader* reader) {
     table.AddTerm(term, row);
   }
 
+  IRBUF_RETURN_NOT_OK(reader->CheckCount(num_docs, 8));
   std::vector<double> norms(num_docs);
   for (DocId d = 0; d < num_docs; ++d) {
     IRBUF_RETURN_NOT_OK(reader->ReadDouble(&norms[d]));

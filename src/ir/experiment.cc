@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "buffer/buffer_manager.h"
 #include "metrics/effectiveness.h"
 #include "obs/json.h"
+#include "serve/concurrent_buffer_pool.h"
 
 namespace irbuf::ir {
 
@@ -22,14 +22,15 @@ Result<SequenceRunResult> RunRefinementSequence(
   eval.tracer = options.tracer;
   core::FilteringEvaluator evaluator(&index, eval);
 
-  buffer::BufferManager buffers(&index.disk(), options.buffer_pages,
-                                buffer::MakePolicy(options.policy));
+  serve::ConcurrentPoolOptions pool_options =
+      serve::PoolOptions(options.buffer_pages, options.policy);
+  pool_options.resilience = options.resilience;
+  serve::ConcurrentBufferPool buffers(&index.disk(), pool_options);
   buffers.SetTracer(options.tracer);
   if (options.metrics != nullptr) {
     buffers.BindMetrics(options.metrics);
     index.disk().BindMetrics(options.metrics);
   }
-  if (options.resilience.enabled) buffers.SetResilience(options.resilience);
 
   SequenceRunResult result;
   double precision_sum = 0.0;
@@ -39,7 +40,7 @@ Result<SequenceRunResult> RunRefinementSequence(
     if (options.tracer != nullptr) {
       options.tracer->BeginStep(static_cast<uint32_t>(step_index));
     }
-    const buffer::BufferStats pool_before = buffers.stats();
+    const buffer::BufferStats pool_before = buffers.StatsSnapshot();
     core::EvalControl control;
     const core::EvalControl* control_ptr = nullptr;
     if (options.deadline_us > 0) {
@@ -56,7 +57,7 @@ Result<SequenceRunResult> RunRefinementSequence(
     sr.pages_processed = er.pages_processed;
     sr.postings_processed = er.postings_processed;
     sr.accumulators = er.accumulators;
-    const buffer::BufferStats& pool_after = buffers.stats();
+    const buffer::BufferStats pool_after = buffers.StatsSnapshot();
     sr.buffer.fetches = pool_after.fetches - pool_before.fetches;
     sr.buffer.hits = pool_after.hits - pool_before.hits;
     sr.buffer.misses = pool_after.misses - pool_before.misses;
@@ -171,8 +172,8 @@ Result<core::EvalResult> RunColdQuery(const index::InvertedIndex& index,
                                       buffer::PolicyKind policy,
                                       obs::QueryTracer* tracer) {
   uint64_t pages = std::max<uint64_t>(1, TotalQueryPages(index, query));
-  buffer::BufferManager buffers(&index.disk(), pages,
-                                buffer::MakePolicy(policy));
+  serve::ConcurrentBufferPool buffers(&index.disk(),
+                                      serve::PoolOptions(pages, policy));
   buffers.SetTracer(tracer);
   core::EvalOptions traced_eval = eval;
   traced_eval.tracer = tracer;

@@ -5,9 +5,9 @@ namespace irbuf::ir {
 IrSystem::IrSystem(const index::InvertedIndex* index, IrSystemOptions options)
     : index_(index),
       options_(options),
-      buffers_(std::make_unique<buffer::BufferManager>(
-          &index->disk(), options.buffer_pages,
-          buffer::MakePolicy(options.policy))),
+      buffers_(std::make_unique<serve::ConcurrentBufferPool>(
+          &index->disk(),
+          serve::PoolOptions(options.buffer_pages, options.policy))),
       evaluator_(index, options.eval) {}
 
 Result<core::EvalResult> IrSystem::Search(const core::Query& query) {

@@ -16,13 +16,13 @@
 #include <memory>
 #include <string>
 
-#include "buffer/buffer_manager.h"
 #include "buffer/policy_factory.h"
 #include "core/filtering_evaluator.h"
 #include "core/query.h"
 #include "index/inverted_index.h"
 #include "obs/metrics.h"
 #include "obs/query_tracer.h"
+#include "serve/concurrent_buffer_pool.h"
 #include "text/pipeline.h"
 #include "util/status.h"
 
@@ -61,19 +61,19 @@ class IrSystem {
   void SetTracer(obs::QueryTracer* tracer);
 
   /// Binds the system's buffer pool and disk to `registry` (see
-  /// BufferManager::BindMetrics / SimulatedDisk::BindMetrics); nullptr
-  /// unbinds both.
+  /// ConcurrentBufferPool::BindMetrics / SimulatedDisk::BindMetrics);
+  /// nullptr unbinds both.
   void BindMetrics(obs::MetricsRegistry* registry);
 
-  const buffer::BufferManager& buffers() const { return *buffers_; }
-  buffer::BufferManager* mutable_buffers() { return buffers_.get(); }
+  const serve::ConcurrentBufferPool& buffers() const { return *buffers_; }
+  serve::ConcurrentBufferPool* mutable_buffers() { return buffers_.get(); }
   const index::InvertedIndex& index() const { return *index_; }
   const IrSystemOptions& options() const { return options_; }
 
  private:
   const index::InvertedIndex* index_;
   IrSystemOptions options_;
-  std::unique_ptr<buffer::BufferManager> buffers_;
+  std::unique_ptr<serve::ConcurrentBufferPool> buffers_;
   core::FilteringEvaluator evaluator_;
 };
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
-#include "buffer/buffer_manager.h"
 #include "core/filtering_evaluator.h"
 #include "core/scorer.h"
+#include "serve/concurrent_buffer_pool.h"
 
 namespace irbuf::ir {
 
@@ -20,8 +20,11 @@ Result<MultiUserResult> RunMultiUserWorkload(
   eval.record_trace = false;
   core::FilteringEvaluator evaluator(&index, eval);
 
-  buffer::BufferManager buffers(&index.disk(), options.buffer_pages,
-                                buffer::MakePolicy(options.policy));
+  serve::ConcurrentBufferPool buffers(
+      &index.disk(), serve::PoolOptions(options.buffer_pages, options.policy));
+  // With a shared context the loop publishes each step's merged context
+  // itself; the evaluator's own SetQueryContext must not overwrite it.
+  buffers.SetExternalContextMode(options.shared_context);
 
   MultiUserResult result;
   result.users.resize(sequences.size());
@@ -35,35 +38,39 @@ Result<MultiUserResult> RunMultiUserWorkload(
     for (size_t user = 0; user < sequences.size(); ++user) {
       if (step >= sequences[user].steps.size()) continue;
 
+      const core::Query& query = sequences[user].steps[step].query;
       if (options.shared_context) {
         // The replacement context must keep valuing what *other* active
         // users are working with (max w_{q,t} per shared term).
-        buffer::QueryContext shared;
+        buffer::QueryContext merged =
+            core::BuildQueryContext(query, index.lexicon());
         for (size_t other = 0; other < sequences.size(); ++other) {
           if (other == user) continue;
           size_t other_step =
               std::min(step, sequences[other].steps.size() - 1);
-          shared.MergeMax(core::BuildQueryContext(
+          merged.MergeMax(core::BuildQueryContext(
               sequences[other].steps[other_step].query, index.lexicon()));
         }
-        buffers.SetSharedContext(std::move(shared));
+        buffers.PublishContext(
+            std::make_shared<const buffer::QueryContext>(std::move(merged)));
       }
 
-      const uint64_t misses_before = buffers.stats().misses;
-      const uint64_t fetches_before = buffers.stats().fetches;
+      const buffer::BufferStats before = buffers.StatsSnapshot();
       Result<core::EvalResult> eval_result =
-          evaluator.Evaluate(sequences[user].steps[step].query, &buffers);
+          evaluator.Evaluate(query, &buffers);
       if (!eval_result.ok()) return eval_result.status();
+      const buffer::BufferStats after = buffers.StatsSnapshot();
 
       UserResult& ur = result.users[user];
-      ur.disk_reads += buffers.stats().misses - misses_before;
-      ur.pages_processed += buffers.stats().fetches - fetches_before;
+      ur.disk_reads += after.misses - before.misses;
+      ur.pages_processed += after.fetches - before.fetches;
       ++ur.steps_run;
     }
   }
 
-  result.total_fetches = buffers.stats().fetches;
-  result.total_hits = buffers.stats().hits;
+  const buffer::BufferStats totals = buffers.StatsSnapshot();
+  result.total_fetches = totals.fetches;
+  result.total_hits = totals.hits;
   for (const UserResult& ur : result.users) {
     result.total_disk_reads += ur.disk_reads;
   }

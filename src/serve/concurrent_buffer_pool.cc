@@ -22,15 +22,20 @@ size_t ReadaheadBound(size_t depth, size_t capacity) {
 
 ConcurrentBufferPool::ConcurrentBufferPool(const storage::SimulatedDisk* disk,
                                            ConcurrentPoolOptions options)
+    : ConcurrentBufferPool(disk, options, buffer::MakePolicy(options.policy)) {}
+
+ConcurrentBufferPool::ConcurrentBufferPool(
+    const storage::SimulatedDisk* disk, ConcurrentPoolOptions options,
+    std::unique_ptr<buffer::ReplacementPolicy> policy)
     : disk_(disk),
       options_(options),
-      policy_(buffer::MakePolicy(options.policy)),
+      policy_(std::move(policy)),
       frames_(options.capacity == 0 ? 1 : options.capacity),
       term_resident_(disk->num_terms()),
       readahead_bound_(
           ReadaheadBound(options.prefetch_depth, frames_.size())) {
   free_frames_.reserve(frames_.size());
-  // Hand out low frame ids first, exactly like BufferManager.
+  // Hand out low frame ids first (push high ids so they pop last).
   for (size_t i = frames_.size(); i > 0; --i) {
     free_frames_.push_back(static_cast<buffer::FrameId>(i - 1));
   }
@@ -97,22 +102,23 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
         frames_[hit_frame].pins.fetch_add(1, std::memory_order_relaxed);
         break;
       }
-      auto load_it = stripe.loads.find(key);
-      if (load_it == stripe.loads.end()) {
-        stripe.loads.emplace(key, PageLoad{});  // We become the loader.
+      PageLoad* load = stripe.loads.Find(key);
+      if (load == nullptr) {
+        stripe.loads.Add(key, PageLoad{});  // We become the loader.
         break;
       }
       // Another thread — a demand loader or a readahead worker — is
-      // already reading this page. Join its FSM instead of issuing a
+      // already reading this page. Join its load instead of issuing a
       // duplicate read, and wait for a terminal transition: kResident
       // publishes the mapping (we wake to a hit), kFailed erases the
       // entry (we retry as the loader).
-      load_it->second.demand_joined = true;
+      load->demand_joined = true;
       if (!joined_load && options_.span_recorder != nullptr) {
         wait_start_ns = MonotonicNowNs();
       }
       joined_load = true;
-      while (stripe.pages.count(key) == 0 && stripe.loads.count(key) != 0) {
+      while (stripe.pages.count(key) == 0 &&
+             stripe.loads.Find(key) != nullptr) {
         stripe.cv.Wait(stripe.mu);
       }
     }
@@ -126,6 +132,9 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
         id.term);
   }
 
+  if (tracer_ != nullptr) {
+    tracer_->Fetch(id.term, id.page_no, hit_frame != buffer::kInvalidFrame);
+  }
   if (hit_frame != buffer::kInvalidFrame) {
     fetches_.fetch_add(1, std::memory_order_relaxed);
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -185,13 +194,14 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
                   frames_.size()));
   }
 
-  // As in BufferManager, the disk decodes straight into the frame's
-  // page: the frame caches the decoded PostingBlock and recycles its
-  // buffers across evictions. The read, the simulated device delay and
-  // the decode (plus any allocation a cold frame needs) all happen in
-  // ExecuteLoad, with no lock held.
+  // The disk decodes straight into the frame's page: the frame caches
+  // the decoded PostingBlock (hits hand evaluators the block with zero
+  // decode work) and recycles its buffers across evictions, so a warmed
+  // pool's miss path performs no allocation either. The read, the
+  // simulated device delay and the decode (plus any allocation a cold
+  // frame needs) all happen in ExecuteLoad, with no lock held.
   Frame& f = frames_[frame];
-  const Status read = ExecuteLoad(id, key, f, /*prefetch=*/false);
+  const Status read = ExecuteLoad(id, f, /*prefetch=*/false);
   if (!read.ok()) {
     ReleaseFailedLoad(key, frame);
     return read;
@@ -222,11 +232,7 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
     // OnHit can never reach the policy before our OnInsert.
     {
       MutexLock stripe_lock(stripe.mu);
-      auto load_it = stripe.loads.find(key);
-      if (load_it != stripe.loads.end()) {
-        load_it->second.state = PageLoad::State::kResident;
-        stripe.loads.erase(load_it);
-      }
+      stripe.loads.Erase(key);
       stripe.pages.emplace(key, frame);
     }
     stripe.cv.NotifyAll();
@@ -234,12 +240,11 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
   return buffer::PinnedPage(this, &f.page, frame, /*was_miss=*/true);
 }
 
-Status ConcurrentBufferPool::ExecuteLoad(PageId id, uint64_t key,
-                                         Frame& frame, bool prefetch) {
+Status ConcurrentBufferPool::ExecuteLoad(PageId id, Frame& frame,
+                                         bool prefetch) {
   const auto read_once = [&]() -> Status {
-    // Phase 1: the simulated device transfer. A retrying attempt
-    // re-enters kReading here.
-    SetLoadState(key, PageLoad::State::kReading);
+    // kReading: the simulated device transfer. A retrying attempt
+    // re-enters it here.
     storage::SimulatedDisk::PageReadOp op;
     IRBUF_RETURN_NOT_OK(disk_->BeginRead(id, &op));
     if (options_.io_delay_us_per_miss > 0) {
@@ -247,24 +252,31 @@ Status ConcurrentBufferPool::ExecuteLoad(PageId id, uint64_t key,
           static_cast<double>(options_.io_delay_us_per_miss) *
           op.latency_multiplier));
     }
-    // Phase 2: CRC + decode on this thread. While we sit in kDecoding,
-    // other loads' phase-1 transfers are outstanding concurrently —
-    // page n decodes while page n+1's read is in flight.
-    SetLoadState(key, PageLoad::State::kDecoding);
+    // kDecoding: CRC + decode on this thread, while other loads'
+    // transfers are outstanding concurrently — page n decodes while
+    // page n+1's read is in flight.
     return disk_->FinishRead(id, op, &frame.page);
   };
   // The span covers the whole lock-free load — the read (retries
   // included), the simulated device delay and the decode — which is
   // what the attribution table should charge a miss (or a readahead
   // slot) with.
+  fault::ReadOutcome outcome;
   const Status status = [&] {
     obs::ScopedSpan load_span(options_.span_recorder,
                               prefetch ? obs::SpanStage::kPrefetchIssue
                                        : obs::SpanStage::kMissRead,
                               id.term);
-    return resilient_ != nullptr ? resilient_->Read(id, read_once)
+    return resilient_ != nullptr ? resilient_->Read(id, read_once, &outcome)
                                  : read_once();
   }();
+  if (tracer_ != nullptr && resilient_ != nullptr && !prefetch) {
+    if (outcome.rejected_by_breaker) {
+      tracer_->Breaker(id.term, id.page_no, "rejected");
+    } else if (outcome.attempts > 1) {
+      tracer_->Retry(id.term, id.page_no, outcome.attempts, status.ok());
+    }
+  }
   if (status.ok()) {
     device_reads_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -283,6 +295,32 @@ void ConcurrentBufferPool::ReleaseFailedLoad(uint64_t key,
   AbandonLoad(key);
 }
 
+void ConcurrentBufferPool::ObserveEvictionLocked(buffer::FrameId frame,
+                                                 bool policy_victim) {
+  if (tracer_ == nullptr && !eviction_observer_ &&
+      metrics_.victim_age == nullptr) {
+    return;
+  }
+  const Frame& f = frames_[frame];
+  EvictionEvent ev;
+  ev.page = f.meta.page;
+  ev.max_weight = f.meta.max_weight;
+  // RAP's Equation 6 under the published context.
+  ev.value = context_ == nullptr
+                 ? 0.0
+                 : ev.max_weight * context_->WeightOf(ev.page.term);
+  ev.age_fetches = fetch_tick_ - f.insert_tick;
+  ev.policy_victim = policy_victim;
+  if (tracer_ != nullptr) {
+    tracer_->Evict(ev.page.term, ev.page.page_no, ev.max_weight, ev.value,
+                   ev.age_fetches);
+  }
+  if (obs::Histogram* victim_age = metrics_.victim_age) {
+    victim_age->Observe(static_cast<double>(ev.age_fetches));
+  }
+  if (eviction_observer_) eviction_observer_(ev);
+}
+
 buffer::FrameId ConcurrentBufferPool::EvictOneLocked() {
   // A candidate can gain a pin between the probe and its stripe lock.
   // Never wait for a pin to drain while holding the latch (the pinner
@@ -295,10 +333,11 @@ buffer::FrameId ConcurrentBufferPool::EvictOneLocked() {
         frames_[candidate].prefetch_tagged ||
         frames_[candidate].pins.load(std::memory_order_acquire) != 0) {
       // The policy's choice is unusable (pinned): fall back to the
-      // oldest-inserted unpinned frame, as BufferManager does; exact
-      // policy order resumes once the pins drain. Prefetch-tagged
-      // frames are skipped — the policy never saw them, so they are
-      // not policy victims (ReclaimPrefetchedLocked handles them).
+      // oldest-inserted unpinned frame; exact policy order resumes once
+      // the pins drain (pins are short, one page per reader).
+      // Prefetch-tagged frames are skipped — the policy never saw them,
+      // so they are not policy victims (ReclaimPrefetchedLocked handles
+      // them).
       buffer::FrameId fallback = buffer::kInvalidFrame;
       for (buffer::FrameId i = 0; i < frames_.size(); ++i) {
         if (!frames_[i].meta.occupied || frames_[i].prefetch_tagged ||
@@ -322,8 +361,10 @@ buffer::FrameId ConcurrentBufferPool::EvictOneLocked() {
     buffer::contracts::CheckVictimEvictable(
         frames_[candidate].meta.occupied,
         frames_[candidate].pins.load(std::memory_order_acquire));
-    // OnEvict runs while the victim's metadata is still readable.
+    // OnEvict and the observers run while the victim's metadata is
+    // still readable.
     policy_->OnEvict(candidate);
+    ObserveEvictionLocked(candidate, /*policy_victim=*/true);
     vs.pages.erase(victim_page.Pack());
     if (victim_page.term < term_resident_.size()) {
       term_resident_[victim_page.term].fetch_sub(1,
@@ -332,7 +373,6 @@ buffer::FrameId ConcurrentBufferPool::EvictOneLocked() {
     frames_[candidate].meta.occupied = false;
     evictions_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_.evictions != nullptr) metrics_.evictions->Add(1);
-    if (eviction_observer_) eviction_observer_(victim_page, true);
     return candidate;
   }
   return buffer::kInvalidFrame;
@@ -357,6 +397,7 @@ buffer::FrameId ConcurrentBufferPool::ReclaimPrefetchedLocked() {
     }
     buffer::contracts::CheckVictimEvictable(
         f.meta.occupied, f.pins.load(std::memory_order_acquire));
+    ObserveEvictionLocked(frame, /*policy_victim=*/false);
     vs.pages.erase(victim_page.Pack());
     if (victim_page.term < term_resident_.size()) {
       term_resident_[victim_page.term].fetch_sub(1,
@@ -370,7 +411,6 @@ buffer::FrameId ConcurrentBufferPool::ReclaimPrefetchedLocked() {
     if (metrics_.evictions != nullptr) metrics_.evictions->Add(1);
     prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_.prefetch_wasted != nullptr) metrics_.prefetch_wasted->Add(1);
-    if (eviction_observer_) eviction_observer_(victim_page, false);
     return frame;
   }
   return buffer::kInvalidFrame;
@@ -399,17 +439,9 @@ void ConcurrentBufferPool::AbandonLoad(uint64_t key) {
   Stripe& stripe = StripeFor(key);
   {
     MutexLock stripe_lock(stripe.mu);
-    stripe.loads.erase(key);
+    stripe.loads.Erase(key);
   }
   stripe.cv.NotifyAll();
-}
-
-void ConcurrentBufferPool::SetLoadState(uint64_t key,
-                                        PageLoad::State state) {
-  Stripe& stripe = StripeFor(key);
-  MutexLock stripe_lock(stripe.mu);
-  auto it = stripe.loads.find(key);
-  if (it != stripe.loads.end()) it->second.state = state;
 }
 
 void ConcurrentBufferPool::Prefetch(buffer::PageAccessPlan plan) {
@@ -472,10 +504,8 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
   {
     MutexLock stripe_lock(stripe.mu);
     if (stripe.pages.count(key) != 0) return;  // Already resident.
-    if (stripe.loads.count(key) != 0) return;  // Already in flight.
-    PageLoad load;
-    load.prefetch = true;
-    stripe.loads.emplace(key, load);
+    if (stripe.loads.Find(key) != nullptr) return;  // Already in flight.
+    stripe.loads.Add(key, PageLoad{});
   }
   buffer::FrameId frame = buffer::kInvalidFrame;
   {
@@ -500,7 +530,7 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
     return;
   }
   Frame& f = frames_[frame];
-  const Status read = ExecuteLoad(id, key, f, /*prefetch=*/true);
+  const Status read = ExecuteLoad(id, f, /*prefetch=*/true);
   if (!read.ok()) {
     // A faulted readahead is silent: the frame returns to the free
     // list, the in-flight entry clears (joined waiters retry as
@@ -521,11 +551,9 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
     bool joined = false;
     {
       MutexLock stripe_lock(stripe.mu);
-      auto load_it = stripe.loads.find(key);
-      if (load_it != stripe.loads.end()) {
-        joined = load_it->second.demand_joined;
-        load_it->second.state = PageLoad::State::kResident;
-        stripe.loads.erase(load_it);
+      if (PageLoad* load = stripe.loads.Find(key)) {
+        joined = load->demand_joined;
+        stripe.loads.Erase(key);
       }
       stripe.pages.emplace(key, frame);
     }
@@ -565,6 +593,50 @@ void ConcurrentBufferPool::Unpin(uint32_t frame) {
         frames_[frame].pins.fetch_sub(1, std::memory_order_release);
     buffer::contracts::CheckPinRelease(before);
   }
+}
+
+void ConcurrentBufferPool::SetTracer(obs::QueryTracer* tracer) {
+  IRBUF_DCHECK(tracer == nullptr || options_.prefetch_depth == 0,
+               "QueryTracer is single-threaded; readahead workers would "
+               "record into it concurrently");
+  tracer_ = tracer;
+}
+
+void ConcurrentBufferPool::Flush() {
+  {
+    MutexLock lock(prefetch_mu_);
+    IRBUF_DCHECK(prefetch_queue_.empty(),
+                 "pool flushed with queued readahead hints");
+  }
+  MutexLock latch(latch_mu_);
+  for (Stripe& stripe : stripes_) {
+    MutexLock stripe_lock(stripe.mu);
+    IRBUF_DCHECK(stripe.loads.empty(), "pool flushed with in-flight loads");
+    stripe.pages.clear();
+  }
+  free_frames_.clear();
+  for (size_t i = frames_.size(); i > 0; --i) {
+    Frame& f = frames_[i - 1];
+    IRBUF_DCHECK(f.pins.load(std::memory_order_relaxed) == 0,
+                 "pool flushed with outstanding pins");
+    f.meta.occupied = false;
+    f.prefetch_tagged = false;
+    free_frames_.push_back(static_cast<buffer::FrameId>(i - 1));
+  }
+  prefetch_window_.clear();
+  for (std::atomic<uint32_t>& resident : term_resident_) {
+    resident.store(0, std::memory_order_relaxed);
+  }
+  policy_->Reset();
+}
+
+std::vector<PageId> ConcurrentBufferPool::ResidentPageIds() const {
+  MutexLock latch(latch_mu_);
+  std::vector<PageId> out;
+  for (const Frame& f : frames_) {
+    if (f.meta.occupied) out.push_back(f.meta.page);
+  }
+  return out;
 }
 
 uint32_t ConcurrentBufferPool::PinCount(PageId id) const {
@@ -639,6 +711,10 @@ void ConcurrentBufferPool::BindMetrics(obs::MetricsRegistry* registry,
   metrics_.coalesced_misses = registry->AddCounter(
       prefix + ".coalesced_misses",
       "fetches that joined an in-flight load instead of reading");
+  metrics_.victim_age = registry->AddHistogram(
+      prefix + ".eviction_victim_age",
+      {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0},
+      "eviction victim age in fetches since insertion");
 }
 
 }  // namespace irbuf::serve

@@ -1,6 +1,10 @@
-// The thread-safe serving counterpart of buffer::BufferManager: a fixed
-// pool of page frames shared by every worker of a QueryServer, accessed
-// exclusively through the pin/unpin protocol of buffer::BufferPool.
+// The buffer manager: a fixed pool of page frames over the simulated
+// disk, with a pluggable replacement policy and the per-term residency
+// counters (b_t) that the BAF evaluator queries (Section 3.2.2 — "an
+// array of counters, updated whenever a page is moved in or out of
+// buffers"). It is the only buffer::BufferPool: the single-threaded
+// simulator (ir::IrSystem, the experiment drivers) and every worker of a
+// QueryServer reach pages through the same pin/unpin protocol.
 //
 // Locking design (lock order: latch -> stripe; never the reverse while
 // acquiring; prefetch_mu_ is a standalone leaf — never held while
@@ -8,7 +12,7 @@
 //
 //  * The page table is striped: each stripe owns a mutex, the resident
 //    page -> frame map of its hash slice, the in-flight table of pages
-//    currently being loaded (PageLoad mini-FSMs), and a condition
+//    currently being loaded (one PageLoad entry each), and a condition
 //    variable that loading waiters block on. Fetches of pages in
 //    different stripes never contend here.
 //  * One pool-wide latch serializes everything the (single-threaded)
@@ -22,8 +26,9 @@
 //  * Per-frame pin counts, per-term residency (b_t) and the pool
 //    counters are atomics; recording never takes a lock.
 //
-// The async miss pipeline. Every load — demand miss or readahead — is a
-// PageLoad mini-FSM in its stripe's in-flight table:
+// The async miss pipeline. Every load — demand miss or readahead — runs
+// the same phases, and holds a PageLoad entry in its stripe's in-flight
+// table from the moment it claims the page until its terminal phase:
 //
 //        kRequested ──► kReading ──► kDecoding ──► kResident
 //             │             │             │        (published in the
@@ -37,14 +42,16 @@
 // terminal states leave the table: kResident publishes the page->frame
 // mapping (waiters wake to a hit), kFailed erases the entry with no
 // mapping (waiters retry as loaders; a retryable attempt re-enters
-// kReading first). Because the table is checked before any read is
-// issued, a second fetch — or a readahead — of a page mid-load never
-// issues a second disk read: it joins the FSM and waits on the stripe's
-// condition variable (the wait is attributed to the kAsyncWait span
-// stage), then counts as a coalesced hit. Misses therefore equal demand
-// disk reads *exactly*, and misses + prefetch reads equal every read the
-// pool ever issued (contracts::CheckDiskReadConservation, checked at
-// destruction).
+// kReading first). The phases are where the loader is in ExecuteLoad,
+// not stored state: the entry records only that the page is in flight
+// and whether a demand fetch joined it. Because the table is checked
+// before any read is issued, a second fetch — or a readahead — of a page
+// mid-load never issues a second disk read: it joins the load and waits
+// on the stripe's condition variable (the wait is attributed to the
+// kAsyncWait span stage), then counts as a coalesced hit. Misses
+// therefore equal demand disk reads *exactly*, and misses + prefetch
+// reads equal every read the pool ever issued
+// (contracts::CheckDiskReadConservation, checked at destruction).
 //
 // Decode/I/O overlap falls out of the split read: while a demand miss
 // (or a readahead worker) sits in kDecoding on its own thread, other
@@ -59,8 +66,8 @@
 // counted prefetch_dropped), the background I/O workers and hence the
 // outstanding readahead reads (workers start lazily — one is added when a
 // hint is queued and no worker is idle), and the prefetch-tagged window.
-// A readahead load runs the same FSM and the same resilient read path as
-// a demand miss (retry/backoff, breaker accounting, fault injection —
+// A readahead load runs the same phases and the same resilient read path
+// as a demand miss (retry/backoff, breaker accounting, fault injection —
 // a faulted readahead read is silently dropped and the demand fetch
 // later degrades exactly as it would have without the hint; while the
 // breaker is open or half-open, hints are dropped unread so the probe
@@ -81,12 +88,12 @@
 // bit-identical to the pre-async pool.
 //
 // Single-threaded determinism: driven by one thread with prefetch off,
-// the pool makes exactly the same decisions as BufferManager with the
-// same policy — free frames are handed out lowest-id first, the policy
-// sees the same OnInsert/OnHit/OnEvict sequence, and the pinned-victim
-// fallback never engages (the single caller holds no pin while
-// fetching). The differential tests in tests/serve/ assert this
-// equivalence.
+// the pool's decisions depend only on the fetch sequence — free frames
+// are handed out lowest-id first, the policy sees one OnInsert/OnHit/
+// OnEvict sequence, and the pinned-victim fallback never engages (the
+// single caller holds no pin while fetching). tests/serve/ pins the
+// victim sequences, and tests/integration/ the rankings and page reads,
+// to frozen values.
 
 #ifndef IRBUF_SERVE_CONCURRENT_BUFFER_POOL_H_
 #define IRBUF_SERVE_CONCURRENT_BUFFER_POOL_H_
@@ -107,6 +114,7 @@
 #include "buffer/replacement_policy.h"
 #include "fault/resilient.h"
 #include "obs/metrics.h"
+#include "obs/query_tracer.h"
 #include "obs/span.h"
 #include "storage/page.h"
 #include "storage/simulated_disk.h"
@@ -157,6 +165,16 @@ struct ConcurrentPoolOptions {
   bool profile_contention = false;
 };
 
+/// Options for a `capacity`-page pool under `policy`, the rest default
+/// (readahead off, no device delay, plain reads).
+inline ConcurrentPoolOptions PoolOptions(
+    size_t capacity, buffer::PolicyKind policy = buffer::PolicyKind::kLru) {
+  ConcurrentPoolOptions options;
+  options.capacity = capacity;
+  options.policy = policy;
+  return options;
+}
+
 /// Readahead + coalescing accounting (all zero with prefetch off except
 /// coalesced_misses/device_reads, which the demand path also feeds).
 struct PoolPrefetchStats {
@@ -176,20 +194,40 @@ struct PoolPrefetchStats {
   uint64_t device_reads = 0;
 };
 
+/// Victim metadata handed to eviction observers: which page left the
+/// pool, its stored max weight, its ranking-aware replacement value
+/// (max_weight * w_{q,t} under the published query context, 0 when the
+/// term is not in it) and its age in fetches since it was placed in the
+/// frame. `policy_victim` is true when the replacement policy chose the
+/// frame (OnEvict ran); false when a prefetch-tagged frame — which the
+/// policy never knew — was reclaimed.
+struct EvictionEvent {
+  PageId page;
+  double max_weight = 0.0;
+  double value = 0.0;
+  uint64_t age_fetches = 0;
+  bool policy_victim = true;
+};
+
 /// A fixed-capacity, thread-safe buffer pool over the simulated disk.
 class ConcurrentBufferPool final : public buffer::FrameDirectory,
                                    public buffer::BufferPool {
  public:
-  /// Observes every frame eviction, called under the pool latch.
-  /// `policy_victim` is true when the replacement policy chose the frame
-  /// (OnEvict ran); false when a prefetch-tagged frame — which the
-  /// policy never knew — was reclaimed. Test hook for asserting victim
-  /// sequences; keep the callback trivial.
-  using EvictionObserver = std::function<void(PageId, bool policy_victim)>;
+  /// Observes every frame eviction, called under the pool latch, before
+  /// the frame is reused. Replacement-policy studies and victim-sequence
+  /// tests hook in here; keep the callback trivial.
+  using EvictionObserver = std::function<void(const EvictionEvent&)>;
 
-  /// The disk must outlive the pool.
+  /// The disk must outlive the pool. The policy is
+  /// MakePolicy(options.policy).
   ConcurrentBufferPool(const storage::SimulatedDisk* disk,
                        ConcurrentPoolOptions options);
+
+  /// Runs `policy` (a configured instance, e.g. LruKPolicy(3)) instead
+  /// of MakePolicy(options.policy).
+  ConcurrentBufferPool(const storage::SimulatedDisk* disk,
+                       ConcurrentPoolOptions options,
+                       std::unique_ptr<buffer::ReplacementPolicy> policy);
 
   /// Joins the readahead workers, then checks the quiescent-state
   /// contracts (all pins released, stats conservation, device-read
@@ -214,8 +252,8 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   }
 
   /// Standalone mode (no external context publisher): installs `context`
-  /// for ranking-aware policies, like BufferManager does — the evaluators
-  /// call this at the top of Evaluate. Once SetExternalContextMode(true)
+  /// for ranking-aware policies — the evaluators call this at the top of
+  /// Evaluate. Once SetExternalContextMode(true)
   /// is set (by SharedQueryContext), the call becomes a no-op: the
   /// replacement context is then the merged weights of every in-flight
   /// query, published via PublishContext, and must not be clobbered by
@@ -252,21 +290,36 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
     external_context_.store(external, std::memory_order_relaxed);
   }
 
-  /// Installs `observer` (nullptr to clear) for eviction-sequence
-  /// tests. Install before traffic; runs under the latch.
+  /// Installs `observer` (nullptr to clear). Install before traffic;
+  /// runs under the latch.
   void SetEvictionObserver(EvictionObserver observer)
       IRBUF_EXCLUDES(latch_mu_) {
     MutexLock latch(latch_mu_);
     eviction_observer_ = std::move(observer);
   }
 
-  /// Resolves the buffer.* metric handles in `registry` (same names as
-  /// BufferManager::BindMetrics, minus the victim-age histogram, plus
-  /// the prefetch.* readahead counters). Call before serving starts;
-  /// pass nullptr to unbind. `prefix` replaces the leading "buffer" of
-  /// every instrument name — the sharded pool binds its per-shard pools
-  /// as "shard0.buffer", "shard1.buffer", ... so shard hit rates are
-  /// individually observable in one registry.
+  /// Installs (or clears, with nullptr) the per-query tracer: every
+  /// demand fetch is recorded tagged hit/miss, every eviction with its
+  /// victim metadata, and every miss that needed a retry or met an open
+  /// breaker. QueryTracer is single-threaded, so install it only on a
+  /// pool with readahead off that one thread drives, and only while the
+  /// pool is quiescent; the tracer must outlive its installation.
+  void SetTracer(obs::QueryTracer* tracer);
+
+  /// Drops every page (the paper flushes buffers between refinement
+  /// sequences and between independent queries), prefetch-tagged frames
+  /// included, and resets the policy and every b_t. Counters are left
+  /// as they are. Quiescent use only: no pin, in-flight load or queued
+  /// readahead hint may remain (IRBUF_DCHECK).
+  void Flush() IRBUF_EXCLUDES(latch_mu_);
+
+  /// Resolves the buffer.* metric handles in `registry` (fetches, hits,
+  /// misses, evictions, the eviction_victim_age histogram, the
+  /// prefetch_* readahead counters and coalesced_misses). Call before
+  /// serving starts; pass nullptr to unbind. `prefix` replaces the
+  /// leading "buffer" of every instrument name — the sharded pool binds
+  /// its per-shard pools as "shard0.buffer", "shard1.buffer", ... so
+  /// shard hit rates are individually observable in one registry.
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& prefix = "buffer");
 
@@ -278,6 +331,9 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   /// Pins currently held on `id`'s frame (0 when not resident). Test
   /// helper; the answer may be stale by the time it returns.
   uint32_t PinCount(PageId id) const;
+
+  /// All resident page ids, in frame order. Quiescent test helper.
+  std::vector<PageId> ResidentPageIds() const IRBUF_EXCLUDES(latch_mu_);
 
   /// Null unless options.resilience.enabled constructed one.
   const fault::ResilientReader* resilience() const {
@@ -313,25 +369,47 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
     std::atomic<uint32_t> pins{0};
   };
 
-  /// One in-flight page load (see the FSM diagram atop this file). The
-  /// entry lives in its stripe's `loads` table from the moment a loader
-  /// claims the page until the load publishes (kResident) or fails
-  /// (kFailed); both terminal transitions erase the entry.
+  /// One in-flight page load (see the phase diagram atop this file).
+  /// The entry lives in its stripe's `loads` table from the moment a
+  /// loader claims the page until the load publishes (kResident) or
+  /// fails (kFailed); both terminal phases erase the entry.
   struct PageLoad {
-    enum class State : uint8_t {
-      kRequested,  // claimed; no I/O started yet (may await a frame)
-      kReading,    // device transfer (BeginRead + miss delay) in flight
-      kDecoding,   // CRC verify + posting decode on the loader's thread
-      kResident,   // terminal: mapping published, entry about to erase
-      kFailed,     // terminal: no mapping, entry erased, waiters retry
-    };
-    State state = State::kRequested;
-    /// The load was started by a readahead worker (publishes into a
-    /// prefetch-tagged frame unless a demand fetch joined meanwhile).
-    bool prefetch = false;
     /// A demand fetch is waiting on this load; a joined readahead
     /// publishes promoted (OnInsert, untagged, counted prefetch_used).
     bool demand_joined = false;
+  };
+
+  /// A stripe's in-flight table. It holds one entry per load running
+  /// in the stripe — a handful at most — so a flat vector scanned
+  /// linearly beats hashing, and a miss allocates nothing once the
+  /// stripe has seen its peak number of concurrent loads.
+  class LoadTable {
+   public:
+    /// The load of `key`, or null when none is in flight.
+    PageLoad* Find(uint64_t key) {
+      for (Slot& slot : slots_) {
+        if (slot.key == key) return &slot.load;
+      }
+      return nullptr;
+    }
+    void Add(uint64_t key, PageLoad load) { slots_.push_back({key, load}); }
+    void Erase(uint64_t key) {
+      for (Slot& slot : slots_) {
+        if (slot.key == key) {
+          slot = slots_.back();
+          slots_.pop_back();
+          return;
+        }
+      }
+    }
+    bool empty() const { return slots_.empty(); }
+
+   private:
+    struct Slot {
+      uint64_t key;
+      PageLoad load;
+    };
+    std::vector<Slot> slots_;
   };
 
   /// One slice of the page table.
@@ -345,7 +423,7 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
     std::unordered_map<uint64_t, buffer::FrameId> pages IRBUF_GUARDED_BY(mu);
     /// In-flight table: pages currently being loaded, demand or
     /// readahead, keyed by packed PageId.
-    std::unordered_map<uint64_t, PageLoad> loads IRBUF_GUARDED_BY(mu);
+    LoadTable loads IRBUF_GUARDED_BY(mu);
   };
 
   static constexpr size_t kStripes = 16;
@@ -361,6 +439,12 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
 
   // BufferPool:
   void Unpin(uint32_t frame) override;
+
+  /// Delivers `frame`'s victim metadata to the tracer, the victim-age
+  /// histogram and the eviction observer (whichever are installed),
+  /// while the frame still holds the victim.
+  void ObserveEvictionLocked(buffer::FrameId frame, bool policy_victim)
+      IRBUF_REQUIRES(latch_mu_);
 
   /// Evicts one unpinned, untagged frame and returns it, or
   /// kInvalidFrame when every such frame is pinned. Prefetch-tagged
@@ -387,16 +471,13 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   /// loaders).
   void AbandonLoad(uint64_t key);
 
-  /// Transitions `key`'s in-flight entry (if still present) to `state`.
-  void SetLoadState(uint64_t key, PageLoad::State state);
-
   /// Runs one disk read into `frame.page` with no pool lock held:
-  /// BeginRead, the simulated device delay, then FinishRead, moving the
-  /// FSM through kReading/kDecoding (retries re-enter kReading). Wraps
+  /// BeginRead, the simulated device delay, then FinishRead — the
+  /// kReading and kDecoding phases (retries re-enter kReading). Wraps
   /// the attempts in the resilient reader when one is configured and in
   /// a kMissRead (demand) or kPrefetchIssue (readahead) span. Counts
   /// device_reads_ on success.
-  Status ExecuteLoad(PageId id, uint64_t key, Frame& frame, bool prefetch)
+  Status ExecuteLoad(PageId id, Frame& frame, bool prefetch)
       IRBUF_EXCLUDES(latch_mu_);
 
   /// Returns the reservation frame for a failed load to the free list
@@ -421,6 +502,7 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
     obs::Counter* prefetch_wasted = nullptr;
     obs::Counter* prefetch_dropped = nullptr;
     obs::Counter* coalesced_misses = nullptr;
+    obs::Histogram* victim_age = nullptr;
   };
 
   const storage::SimulatedDisk* disk_;
@@ -446,6 +528,9 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   /// readahead_bound_. Frames leave on promotion or reclaim.
   std::deque<buffer::FrameId> prefetch_window_ IRBUF_GUARDED_BY(latch_mu_);
   EvictionObserver eviction_observer_ IRBUF_GUARDED_BY(latch_mu_);
+  /// Set only while quiescent (see SetTracer); read on the fetch path
+  /// and under the latch.
+  obs::QueryTracer* tracer_ = nullptr;
 
   std::vector<Frame> frames_;
   std::vector<std::atomic<uint32_t>> term_resident_;

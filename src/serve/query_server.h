@@ -13,9 +13,9 @@
 //
 // The single-user simulator is the 1-thread special case: a QueryServer
 // with num_threads = 1 evaluates queries in exact submission order over
-// a pool that makes the same decisions as BufferManager, so its answers
-// (and, with shared_context off, its hit/miss counts) are byte-identical
-// to IrSystem's — tests/serve/query_server_test.cc asserts this, and the
+// the same kind of pool IrSystem drives, so its answers (and, with
+// shared_context off, its hit/miss counts) are byte-identical to
+// IrSystem's — tests/serve/query_server_test.cc asserts this, and the
 // round-robin interleave of ir::RunMultiUserWorkload is reproduced by
 // submitting the same interleave to a 1-thread server.
 

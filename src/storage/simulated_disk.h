@@ -125,9 +125,9 @@ class SimulatedDisk {
   }
 
   /// Zeroes the disk's own counters only. Disk stats are fully
-  /// independent of any BufferManager's BufferStats layered on top: a
-  /// buffer flush or BufferManager::ResetStats() never touches these,
-  /// and vice versa. (Invariant when both start from zero:
+  /// independent of the BufferStats of a buffer pool layered on top: a
+  /// buffer flush never touches these, and this call never touches the
+  /// pool's. (Invariant when both start from zero and readahead is off:
   /// stats().reads == pool misses.)
   void ResetStats() {
     reads_.store(0, std::memory_order_relaxed);

@@ -100,13 +100,20 @@ Result<BinaryReader> BinaryReader::Open(const std::string& path) {
     return Status::IOError(StrFormat("cannot open '%s' for reading",
                                      path.c_str()));
   }
-  return BinaryReader(file);
+  long end = -1;
+  if (std::fseek(file, 0, SEEK_END) == 0) end = std::ftell(file);
+  if (end < 0 || std::fseek(file, 0, SEEK_SET) != 0) {
+    std::fclose(file);
+    return Status::IOError(StrFormat("cannot size '%s'", path.c_str()));
+  }
+  return BinaryReader(file, static_cast<uint64_t>(end));
 }
 
 BinaryReader& BinaryReader::operator=(BinaryReader&& other) noexcept {
   if (this != &other) {
     if (file_ != nullptr) std::fclose(file_);
     file_ = other.file_;
+    size_ = other.size_;
     other.file_ = nullptr;
   }
   return *this;
@@ -148,6 +155,7 @@ Status BinaryReader::ReadDouble(double* value) {
 Status BinaryReader::ReadString(std::string* value) {
   uint32_t size = 0;
   IRBUF_RETURN_NOT_OK(ReadU32(&size));
+  IRBUF_RETURN_NOT_OK(CheckCount(size, 1));
   value->resize(size);
   return size == 0 ? Status::OK() : ReadRaw(value->data(), size);
 }
@@ -155,8 +163,28 @@ Status BinaryReader::ReadString(std::string* value) {
 Status BinaryReader::ReadBytes(std::vector<uint8_t>* bytes) {
   uint32_t size = 0;
   IRBUF_RETURN_NOT_OK(ReadU32(&size));
+  IRBUF_RETURN_NOT_OK(CheckCount(size, 1));
   bytes->resize(size);
   return size == 0 ? Status::OK() : ReadRaw(bytes->data(), size);
+}
+
+Status BinaryReader::CheckCount(uint64_t count, uint64_t min_bytes_each) {
+  if (file_ == nullptr) return Status::FailedPrecondition("reader closed");
+  const long pos = std::ftell(file_);
+  const uint64_t left =
+      pos < 0 || static_cast<uint64_t>(pos) > size_
+          ? 0
+          : size_ - static_cast<uint64_t>(pos);
+  if (min_bytes_each == 0) min_bytes_each = 1;
+  if (count > left / min_bytes_each) {
+    return Status::IOError(StrFormat(
+        "count %llu of %llu-byte items exceeds the %llu bytes left in the "
+        "file",
+        static_cast<unsigned long long>(count),
+        static_cast<unsigned long long>(min_bytes_each),
+        static_cast<unsigned long long>(left)));
+  }
+  return Status::OK();
 }
 
 bool BinaryReader::AtEof() {

@@ -1,6 +1,7 @@
 // Minimal little-endian binary (de)serialization over std::FILE, used by
 // the index and corpus persistence formats. Every Read* checks for
-// truncation and reports IOError.
+// truncation and reports IOError, and no count read from a file sizes an
+// allocation before CheckCount has bounded it by the bytes left.
 
 #ifndef IRBUF_UTIL_BINARY_IO_H_
 #define IRBUF_UTIL_BINARY_IO_H_
@@ -49,7 +50,8 @@ class BinaryReader {
  public:
   static Result<BinaryReader> Open(const std::string& path);
 
-  BinaryReader(BinaryReader&& other) noexcept : file_(other.file_) {
+  BinaryReader(BinaryReader&& other) noexcept
+      : file_(other.file_), size_(other.size_) {
     other.file_ = nullptr;
   }
   BinaryReader& operator=(BinaryReader&& other) noexcept;
@@ -63,14 +65,22 @@ class BinaryReader {
   Status ReadString(std::string* value);
   Status ReadBytes(std::vector<uint8_t>* bytes);
 
+  /// IOError when `count` items of at least `min_bytes_each` bytes could
+  /// not fit in what is left of the file. Call it on every count read
+  /// from the file before sizing a container with it, so a corrupt
+  /// count fails the load instead of allocating gigabytes.
+  Status CheckCount(uint64_t count, uint64_t min_bytes_each);
+
   /// True when the read cursor is at end of file.
   bool AtEof();
 
  private:
-  explicit BinaryReader(std::FILE* file) : file_(file) {}
+  BinaryReader(std::FILE* file, uint64_t size) : file_(file), size_(size) {}
   Status ReadRaw(void* data, size_t size);
 
   std::FILE* file_;
+  /// File length in bytes, taken at Open.
+  uint64_t size_;
 };
 
 }  // namespace irbuf

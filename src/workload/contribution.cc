@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "buffer/buffer_manager.h"
-#include "buffer/policy_factory.h"
 #include "core/scorer.h"
+#include "serve/concurrent_buffer_pool.h"
 
 namespace irbuf::workload {
 
@@ -21,8 +20,7 @@ Result<std::vector<RankedTerm>> RankTermsByContribution(
   core::FilteringEvaluator evaluator(&index, full);
 
   // Scratch pool; its contents and stats are discarded.
-  buffer::BufferManager scratch(&index.disk(), 64,
-                                buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool scratch(&index.disk(), serve::PoolOptions(64));
   Result<core::EvalResult> result = evaluator.Evaluate(query, &scratch);
   if (!result.ok()) return result.status();
 

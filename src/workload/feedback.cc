@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "buffer/buffer_manager.h"
-#include "buffer/policy_factory.h"
 #include "core/filtering_evaluator.h"
+#include "serve/concurrent_buffer_pool.h"
 
 namespace irbuf::workload {
 
@@ -88,8 +87,7 @@ Result<RefinementSequence> BuildFeedbackSequence(
     sequence.steps.push_back(std::move(step));
     if (round == rounds) break;
 
-    buffer::BufferManager scratch(
-        &index.disk(), 64, buffer::MakePolicy(buffer::PolicyKind::kLru));
+    serve::ConcurrentBufferPool scratch(&index.disk(), serve::PoolOptions(64));
     Result<core::EvalResult> result = evaluator.Evaluate(current,
                                                          &scratch);
     if (!result.ok()) return result.status();

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "buffer/buffer_manager.h"
-#include "buffer/policy_factory.h"
 #include "fault/fault_injector.h"
 #include "fault/resilient.h"
+#include "serve/concurrent_buffer_pool.h"
 #include "test_disk.h"
 
 namespace irbuf::buffer {
@@ -70,13 +69,20 @@ TEST(BackoffTest, DelayCapsAtMaximum) {
   for (int i = 0; i < 5; ++i) EXPECT_EQ(backoff.NextDelayUs(), 500u);
 }
 
-// ---- The BufferManager's miss-path retry loop. ----
+// ---- The buffer pool's miss-path retry loop. ----
 
 fault::ResilienceOptions FastResilience() {
   fault::ResilienceOptions options;
   options.enabled = true;
   options.breaker_enabled = false;
   options.sleep_on_backoff = false;  // Schedules drawn, not slept.
+  return options;
+}
+
+serve::ConcurrentPoolOptions LruPool(size_t capacity,
+                                     fault::ResilienceOptions resilience) {
+  serve::ConcurrentPoolOptions options = serve::PoolOptions(capacity);
+  options.resilience = resilience;
   return options;
 }
 
@@ -89,8 +95,7 @@ TEST(BufferRetryTest, TransientErrorsAreRetriedToSuccess) {
   fault::FaultInjector injector(spec);
   disk->SetFaultInjector(&injector);
 
-  BufferManager pool(disk.get(), 2, MakePolicy(PolicyKind::kLru));
-  pool.SetResilience(FastResilience());
+  serve::ConcurrentBufferPool pool(disk.get(), LruPool(2, FastResilience()));
   auto page = pool.FetchPinned(PageId{0, 0});
   ASSERT_TRUE(page.ok()) << page.status().ToString();
   EXPECT_EQ(page.value()->id, (PageId{0, 0}));
@@ -98,8 +103,8 @@ TEST(BufferRetryTest, TransientErrorsAreRetriedToSuccess) {
   EXPECT_EQ(pool.resilience()->total_retries(), 2u);
   EXPECT_EQ(pool.resilience()->retries_exhausted(), 0u);
   // One successful fetch: the stats see a single miss, not the retries.
-  EXPECT_EQ(pool.stats().fetches, 1u);
-  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(pool.StatsSnapshot().fetches, 1u);
+  EXPECT_EQ(pool.StatsSnapshot().misses, 1u);
 }
 
 TEST(BufferRetryTest, ExhaustedRetriesSurfaceTheError) {
@@ -109,10 +114,9 @@ TEST(BufferRetryTest, ExhaustedRetriesSurfaceTheError) {
   fault::FaultInjector injector(spec);
   disk->SetFaultInjector(&injector);
 
-  BufferManager pool(disk.get(), 2, MakePolicy(PolicyKind::kLru));
   fault::ResilienceOptions options = FastResilience();
   options.backoff.max_retries = 3;
-  pool.SetResilience(options);
+  serve::ConcurrentBufferPool pool(disk.get(), LruPool(2, options));
   auto page = pool.FetchPinned(PageId{0, 0});
   EXPECT_EQ(page.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(pool.resilience()->total_retries(), 3u);
@@ -131,8 +135,7 @@ TEST(BufferRetryTest, FailedReadReturnsTheReservedFrame) {
   fault::FaultInjector injector(spec);
   disk->SetFaultInjector(&injector);
 
-  BufferManager pool(disk.get(), 1, MakePolicy(PolicyKind::kLru));
-  pool.SetResilience(FastResilience());
+  serve::ConcurrentBufferPool pool(disk.get(), LruPool(1, FastResilience()));
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(pool.FetchPinned(PageId{0, 0}).status().code(),
               StatusCode::kUnavailable);
@@ -156,8 +159,7 @@ TEST(BufferRetryTest, PermanentBadPageIsNotRetried) {
   fault::FaultInjector injector(spec);
   disk->SetFaultInjector(&injector);
 
-  BufferManager pool(disk.get(), 2, MakePolicy(PolicyKind::kLru));
-  pool.SetResilience(FastResilience());
+  serve::ConcurrentBufferPool pool(disk.get(), LruPool(2, FastResilience()));
   auto page = pool.FetchPinned(PageId{0, 0});
   EXPECT_EQ(page.status().code(), StatusCode::kIOError);
   // Bad media fails on the first attempt; burning the backoff schedule
@@ -172,8 +174,8 @@ TEST(BufferRetryTest, DisabledResilienceIsPassThrough) {
   fault::FaultInjector injector(spec);
   disk->SetFaultInjector(&injector);
 
-  BufferManager pool(disk.get(), 2, MakePolicy(PolicyKind::kLru));
-  // No SetResilience: the transient error surfaces unretried.
+  serve::ConcurrentBufferPool pool(disk.get(), serve::PoolOptions(2));
+  // Resilience off: the transient error surfaces unretried.
   auto page = pool.FetchPinned(PageId{0, 0});
   EXPECT_EQ(page.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(pool.resilience(), nullptr);

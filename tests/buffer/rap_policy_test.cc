@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "buffer/buffer_manager.h"
+#include "serve/concurrent_buffer_pool.h"
 #include "test_disk.h"
 
 namespace irbuf::buffer {
 namespace {
+
+using serve::ConcurrentBufferPool;
+using serve::PoolOptions;
 
 QueryContext ContextFor(std::initializer_list<std::pair<TermId, double>> ws) {
   QueryContext ctx;
@@ -17,84 +20,84 @@ QueryContext ContextFor(std::initializer_list<std::pair<TermId, double>> ws) {
 TEST(RapPolicyTest, EvictsLowestReplacementValue) {
   // Term 0 pages have stored weights 100, 99, ...; term 1: 200, 199, ...
   auto disk = MakeTestDisk({3, 3});
-  BufferManager bm(disk.get(), 3, std::make_unique<RapPolicy>());
+  ConcurrentBufferPool bm(disk.get(), PoolOptions(3, PolicyKind::kRap));
   bm.SetQueryContext(ContextFor({{0, 1.0}, {1, 1.0}}));
 
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // Value 100.
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 0}).ok());  // Value 200.
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 1}).ok());  // Value 199.
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 2}).ok());  // Evicts (0,0): lowest.
-  EXPECT_FALSE(bm.Contains(PageId{0, 0}));
-  EXPECT_TRUE(bm.Contains(PageId{1, 0}));
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Value 100.
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());  // Value 200.
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 1}).ok());  // Value 199.
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 2}).ok());  // Evicts (0,0): lowest.
+  EXPECT_FALSE(Contains(bm, PageId{0, 0}));
+  EXPECT_TRUE(Contains(bm, PageId{1, 0}));
 }
 
 TEST(RapPolicyTest, QueryWeightScalesPageValue) {
   auto disk = MakeTestDisk({3, 3});
-  BufferManager bm(disk.get(), 3, std::make_unique<RapPolicy>());
+  ConcurrentBufferPool bm(disk.get(), PoolOptions(3, PolicyKind::kRap));
   // Term 0 is weighted much higher than term 1, inverting the raw stored
   // weights (Equation 6: value = max-weight * w_{q,t}).
   bm.SetQueryContext(ContextFor({{0, 10.0}, {1, 1.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());  // Value 1000.
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 0}).ok());  // Value 200.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());  // Value 990.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());  // Evicts (1,0).
-  EXPECT_FALSE(bm.Contains(PageId{1, 0}));
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // Value 1000.
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());  // Value 200.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // Value 990.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Evicts (1,0).
+  EXPECT_FALSE(Contains(bm, PageId{1, 0}));
 }
 
 TEST(RapPolicyTest, DroppedTermPagesEvictedFirst) {
   // Section 3.3 example 2: pages of terms removed during refinement have
   // w_{q,t} = 0 and go first, even if their stored weights are huge.
   auto disk = MakeTestDisk({3, 3});
-  BufferManager bm(disk.get(), 4, std::make_unique<RapPolicy>());
+  ConcurrentBufferPool bm(disk.get(), PoolOptions(4, PolicyKind::kRap));
   bm.SetQueryContext(ContextFor({{0, 1.0}, {1, 1.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{1, 1}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{1, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
 
   // Refined query: term 1 dropped.
   bm.SetQueryContext(ContextFor({{0, 1.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());  // Needs an eviction.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Needs an eviction.
   // A term-1 page must have gone, not a term-0 page.
-  EXPECT_TRUE(bm.Contains(PageId{0, 0}));
-  EXPECT_TRUE(bm.Contains(PageId{0, 1}));
+  EXPECT_TRUE(Contains(bm, PageId{0, 0}));
+  EXPECT_TRUE(Contains(bm, PageId{0, 1}));
   EXPECT_EQ(bm.ResidentPages(1), 1u);
 }
 
 TEST(RapPolicyTest, TailEvictedBeforeHead) {
   // Among equal (zero) values, the tail of the list goes before the head.
   auto disk = MakeTestDisk({3});
-  BufferManager bm(disk.get(), 2, std::make_unique<RapPolicy>());
+  ConcurrentBufferPool bm(disk.get(), PoolOptions(2, PolicyKind::kRap));
   bm.SetQueryContext(ContextFor({{0, 1.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
   // Term 0 dropped: both resident pages now value 0.
   bm.SetQueryContext(QueryContext{});
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());
-  EXPECT_TRUE(bm.Contains(PageId{0, 0}));   // Head kept.
-  EXPECT_FALSE(bm.Contains(PageId{0, 1}));  // Tail evicted.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());
+  EXPECT_TRUE(Contains(bm, PageId{0, 0}));   // Head kept.
+  EXPECT_FALSE(Contains(bm, PageId{0, 1}));  // Tail evicted.
 }
 
 TEST(RapPolicyTest, FirstPagesSurviveWithinOneTerm) {
   // Section 3.3 example 1: within one queried term, the first page (the
   // highest stored weight) should be the one retained.
   auto disk = MakeTestDisk({4});
-  BufferManager bm(disk.get(), 2, std::make_unique<RapPolicy>());
+  ConcurrentBufferPool bm(disk.get(), PoolOptions(2, PolicyKind::kRap));
   bm.SetQueryContext(ContextFor({{0, 2.0}}));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 1}).ok());
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 2}).ok());  // Evicts page 1.
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 3}).ok());  // Evicts page 2.
-  EXPECT_TRUE(bm.Contains(PageId{0, 0}));
-  EXPECT_TRUE(bm.Contains(PageId{0, 3}));
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // Evicts page 1.
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 3}).ok());  // Evicts page 2.
+  EXPECT_TRUE(Contains(bm, PageId{0, 0}));
+  EXPECT_TRUE(Contains(bm, PageId{0, 3}));
 }
 
 TEST(RapPolicyTest, ValueOfReflectsContext) {
   auto disk = MakeTestDisk({1});
   auto policy = std::make_unique<RapPolicy>();
   RapPolicy* rap = policy.get();
-  BufferManager bm(disk.get(), 1, std::move(policy));
-  ASSERT_TRUE(bm.FetchPage(PageId{0, 0}).ok());
+  ConcurrentBufferPool bm(disk.get(), PoolOptions(1), std::move(policy));
+  ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());
   // No context yet: value is 0.
   EXPECT_DOUBLE_EQ(rap->ValueOf(0), 0.0);
   bm.SetQueryContext(ContextFor({{0, 3.0}}));

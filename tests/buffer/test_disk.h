@@ -1,14 +1,17 @@
-// Shared helper for the buffer tests: builds a tiny simulated disk with a
-// known layout. Term t gets `pages_per_term[t]` pages; page p of term t
-// stores max_weight = 100*(t+1) - p so that earlier pages always have the
+// Shared helpers for the buffer tests: builds a tiny simulated disk with
+// a known layout, and asks a pool whether a page is resident. Term t gets
+// `pages_per_term[t]` pages; page p of term t stores
+// max_weight = 100*(t+1) - p so that earlier pages always have the
 // higher stored weight (as frequency-sorted lists do).
 
 #ifndef IRBUF_TESTS_BUFFER_TEST_DISK_H_
 #define IRBUF_TESTS_BUFFER_TEST_DISK_H_
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "serve/concurrent_buffer_pool.h"
 #include "storage/simulated_disk.h"
 
 namespace irbuf::buffer {
@@ -26,6 +29,12 @@ inline std::unique_ptr<storage::SimulatedDisk> MakeTestDisk(
     }
   }
   return disk;
+}
+
+/// True when `id` is buffer-resident in `pool` (quiescent pools only).
+inline bool Contains(const serve::ConcurrentBufferPool& pool, PageId id) {
+  const std::vector<PageId> ids = pool.ResidentPageIds();
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
 }
 
 }  // namespace irbuf::buffer

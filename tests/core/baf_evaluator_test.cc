@@ -78,10 +78,9 @@ TEST(BafEvaluatorTest, BufferedTermProcessedFirst) {
     }
   }
   TestCollection tc = MakeCollection(64, 2, std::move(lists));
-  buffer::BufferManager pool(&tc.index.disk(), 16,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&tc.index.disk(), serve::PoolOptions(16));
   for (uint32_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(pool.FetchPage(PageId{2, p}).ok());
+    ASSERT_TRUE(pool.FetchPinned(PageId{2, p}).ok());
   }
 
   Query q;
@@ -133,9 +132,8 @@ TEST(BafEvaluatorTest, RefinementReadsLessThanDf) {
     EvalOptions options = BafOptions(0.2, 0.02);
     options.buffer_aware = buffer_aware;
     FilteringEvaluator evaluator(&tc.index, options);
-    buffer::BufferManager pool(
-        &tc.index.disk(), tc.index.total_pages() + 1,
-        buffer::MakePolicy(buffer::PolicyKind::kLru));
+    serve::ConcurrentBufferPool pool(
+        &tc.index.disk(), serve::PoolOptions(tc.index.total_pages() + 1));
     auto first = evaluator.Evaluate(original, &pool);
     EXPECT_TRUE(first.ok());
     auto second = evaluator.Evaluate(refined, &pool);

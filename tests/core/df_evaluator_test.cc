@@ -218,13 +218,12 @@ TEST(DfEvaluatorTest, DiskReadsMatchBufferMisses) {
   TestCollection tc = MakeRandomCollection(23, 100, 5, 4);
   Query q;
   for (TermId t = 0; t < 5; ++t) q.AddTerm(t);
-  buffer::BufferManager pool(&tc.index.disk(), 3,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&tc.index.disk(), serve::PoolOptions(3));
   FilteringEvaluator evaluator(&tc.index, FullEval());
   auto result = evaluator.Evaluate(q, &pool);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().disk_reads, pool.stats().misses);
-  EXPECT_EQ(result.value().pages_processed, pool.stats().fetches);
+  EXPECT_EQ(result.value().disk_reads, pool.StatsSnapshot().misses);
+  EXPECT_EQ(result.value().pages_processed, pool.StatsSnapshot().fetches);
 }
 
 }  // namespace

@@ -34,8 +34,7 @@ TEST(EvalBudgetTest, MaxTermsForfeitsDfTailExactly) {
 
   EvalControl control;
   control.max_terms = 3;
-  buffer::BufferManager pool(&tc.index.disk(), 16,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&tc.index.disk(), serve::PoolOptions(16));
   auto r = evaluator.Evaluate(q, &pool, &control);
   ASSERT_TRUE(r.ok());
   const EvalResult& er = r.value();
@@ -77,8 +76,8 @@ TEST(EvalBudgetTest, MaxTermsCapsBafRounds) {
 
   EvalControl control;
   control.max_terms = 2;
-  buffer::BufferManager pool(&tc.index.disk(), 16,
-                             buffer::MakePolicy(buffer::PolicyKind::kRap));
+  serve::ConcurrentBufferPool pool(
+      &tc.index.disk(), serve::PoolOptions(16, buffer::PolicyKind::kRap));
   auto r = evaluator.Evaluate(WideQuery(8), &pool, &control);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().work_trimmed);
@@ -101,8 +100,7 @@ TEST(EvalBudgetTest, MaxPagesPerTermTruncatesWithPageBounds) {
 
   EvalControl control;
   control.max_pages_per_term = 2;
-  buffer::BufferManager pool(&tc.index.disk(), 16,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&tc.index.disk(), serve::PoolOptions(16));
   auto r = evaluator.Evaluate(q, &pool, &control);
   ASSERT_TRUE(r.ok());
   const EvalResult& er = r.value();
@@ -151,8 +149,7 @@ TEST(EvalBudgetTest, TermwiseRunCopiesControlByValue) {
   eval.c_add = 0.0;
   eval.record_trace = true;
   FilteringEvaluator evaluator(&tc.index, eval);
-  buffer::BufferManager pool(&tc.index.disk(), 16,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&tc.index.disk(), serve::PoolOptions(16));
 
   FilteringEvaluator::TermwiseRun run(&evaluator, &pool);
   {
@@ -185,14 +182,13 @@ TEST(EvalBudgetTest, ZeroBudgetsAreBitInvisible) {
   EvalOptions eval;
   FilteringEvaluator evaluator(&tc.index, eval);
 
-  buffer::BufferManager plain_pool(
-      &tc.index.disk(), 12, buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool plain_pool(&tc.index.disk(),
+                                         serve::PoolOptions(12));
   auto plain = evaluator.Evaluate(q, &plain_pool);
   ASSERT_TRUE(plain.ok());
 
   EvalControl control;  // All budgets 0, no deadline.
-  buffer::BufferManager pool(&tc.index.disk(), 12,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&tc.index.disk(), serve::PoolOptions(12));
   auto r = evaluator.Evaluate(q, &pool, &control);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value().work_trimmed);

@@ -119,8 +119,8 @@ TEST(QuitContinueTest, WorksOnDocumentOrderedIndexes) {
   QuitContinueOptions options;
   options.top_n = 10;
   QuitContinueEvaluator evaluator(&index.value(), options);
-  buffer::BufferManager pool(&index.value().disk(), 8,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&index.value().disk(),
+                                   serve::PoolOptions(8));
   auto result = evaluator.Evaluate(q, &pool);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().top_docs.size(), 4u);

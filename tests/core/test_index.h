@@ -11,10 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "buffer/buffer_manager.h"
-#include "buffer/policy_factory.h"
 #include "core/query.h"
 #include "index/index_builder.h"
+#include "serve/concurrent_buffer_pool.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -85,10 +84,9 @@ inline std::vector<ScoredDoc> BruteForceRanking(const TestCollection& tc,
 }
 
 /// A buffer pool big enough that replacement never happens.
-inline buffer::BufferManager MakeBigPool(const TestCollection& tc) {
-  return buffer::BufferManager(&tc.index.disk(),
-                               tc.index.total_pages() + 1,
-                               buffer::MakePolicy(buffer::PolicyKind::kLru));
+inline serve::ConcurrentBufferPool MakeBigPool(const TestCollection& tc) {
+  return serve::ConcurrentBufferPool(
+      &tc.index.disk(), serve::PoolOptions(tc.index.total_pages() + 1));
 }
 
 }  // namespace irbuf::core

@@ -31,8 +31,8 @@ TEST_P(TraceInvariantsTest, AccountingIdentitiesHold) {
   EvalOptions options;  // Tuned constants, trace on.
   options.buffer_aware = param.buffer_aware;
   FilteringEvaluator evaluator(&tc.index, options);
-  buffer::BufferManager pool(&tc.index.disk(), param.pool_pages,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&tc.index.disk(),
+                                   serve::PoolOptions(param.pool_pages));
   auto result = evaluator.Evaluate(q, &pool);
   ASSERT_TRUE(result.ok());
   const EvalResult& er = result.value();
@@ -74,7 +74,7 @@ TEST_P(TraceInvariantsTest, AccountingIdentitiesHold) {
   EXPECT_EQ(er.postings_processed, sum_postings);
   EXPECT_EQ(er.terms_skipped, skipped);
   // Pool-level identity: evaluator reads == pool misses.
-  EXPECT_EQ(er.disk_reads, pool.stats().misses);
+  EXPECT_EQ(er.disk_reads, pool.StatsSnapshot().misses);
   // Answers are sorted by score descending (doc ascending on ties).
   for (size_t i = 1; i < er.top_docs.size(); ++i) {
     if (er.top_docs[i - 1].score == er.top_docs[i].score) {

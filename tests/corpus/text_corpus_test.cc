@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "buffer/buffer_manager.h"
-#include "buffer/policy_factory.h"
 #include "core/filtering_evaluator.h"
+#include "serve/concurrent_buffer_pool.h"
 
 namespace irbuf::corpus {
 namespace {
@@ -40,8 +39,7 @@ TEST(TextCorpusTest, BuildsSearchableIndex) {
   options.c_ins = 0.0;
   options.c_add = 0.0;
   core::FilteringEvaluator evaluator(&idx, options);
-  buffer::BufferManager pool(&idx.disk(), 64,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&idx.disk(), serve::PoolOptions(64));
   auto result = evaluator.Evaluate(q, &pool);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result.value().top_docs.empty());

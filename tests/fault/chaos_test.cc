@@ -62,6 +62,14 @@ fault::ResilienceOptions FastResilience() {
   return options;
 }
 
+/// A pool with FastResilience in front of its miss-path reads.
+serve::ConcurrentPoolOptions ResilientPool(
+    size_t capacity, buffer::PolicyKind policy = buffer::PolicyKind::kLru) {
+  serve::ConcurrentPoolOptions options = serve::PoolOptions(capacity, policy);
+  options.resilience = FastResilience();
+  return options;
+}
+
 /// A moderate randomized campaign, deterministic in `seed`.
 fault::FaultSpec ChaosSpec(uint64_t seed) {
   fault::FaultSpec spec;
@@ -128,8 +136,8 @@ TEST_P(ChaosZeroRateTest, FaultFreeRunIsBitIdentical) {
   // Reference: no injector, no resilience.
   std::vector<core::EvalResult> reference;
   {
-    buffer::BufferManager pool(&tc.index.disk(), 12,
-                               buffer::MakePolicy(config.policy));
+    serve::ConcurrentBufferPool pool(&tc.index.disk(),
+                                     serve::PoolOptions(12, config.policy));
     core::FilteringEvaluator evaluator(&tc.index, eval);
     for (const core::Query& q : RefinementQueries(10)) {
       auto r = evaluator.Evaluate(q, &pool);
@@ -144,9 +152,8 @@ TEST_P(ChaosZeroRateTest, FaultFreeRunIsBitIdentical) {
   empty_spec.seed = 404;
   fault::FaultInjector injector(empty_spec);
   tc.index.disk().SetFaultInjector(&injector);
-  buffer::BufferManager pool(&tc.index.disk(), 12,
-                             buffer::MakePolicy(config.policy));
-  pool.SetResilience(FastResilience());
+  serve::ConcurrentBufferPool pool(&tc.index.disk(),
+                                   ResilientPool(12, config.policy));
   core::FilteringEvaluator evaluator(&tc.index, eval);
   const std::vector<core::Query> queries = RefinementQueries(10);
   for (size_t s = 0; s < queries.size(); ++s) {
@@ -202,9 +209,7 @@ TEST(ChaosDegradationTest, FullyBadTermDegradesToRemainingTerms) {
   obs::QueryTracer tracer;
   core::EvalOptions traced = eval;
   traced.tracer = &tracer;
-  buffer::BufferManager pool(&tc.index.disk(), 16,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
-  pool.SetResilience(FastResilience());
+  serve::ConcurrentBufferPool pool(&tc.index.disk(), ResilientPool(16));
   core::FilteringEvaluator evaluator(&tc.index, traced);
   auto degraded = evaluator.Evaluate(full, &pool);
   tc.index.disk().SetFaultInjector(nullptr);
@@ -253,8 +258,7 @@ TEST(ChaosDeadlineTest, ExpiredDeadlineForfeitsEverything) {
   core::Query q;
   for (TermId t = 0; t < 6; ++t) q.AddTerm(t, 1);
   core::EvalOptions eval;
-  buffer::BufferManager pool(&tc.index.disk(), 8,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&tc.index.disk(), serve::PoolOptions(8));
   core::FilteringEvaluator evaluator(&tc.index, eval);
 
   core::EvalControl control;
@@ -277,8 +281,8 @@ TEST(ChaosDeadlineTest, GenerousDeadlineChangesNothing) {
   core::EvalOptions eval;
   core::FilteringEvaluator evaluator(&tc.index, eval);
 
-  buffer::BufferManager clean_pool(
-      &tc.index.disk(), 8, buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool clean_pool(&tc.index.disk(),
+                                         serve::PoolOptions(8));
   auto reference = evaluator.Evaluate(q, &clean_pool);
   ASSERT_TRUE(reference.ok());
 
@@ -286,8 +290,7 @@ TEST(ChaosDeadlineTest, GenerousDeadlineChangesNothing) {
   control.now_us = &FakeNow;
   control.deadline_us = 1u << 30;
   g_fake_now_us = 0;
-  buffer::BufferManager pool(&tc.index.disk(), 8,
-                             buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool(&tc.index.disk(), serve::PoolOptions(8));
   auto r = evaluator.Evaluate(q, &pool, &control);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value().deadline_hit);
@@ -314,9 +317,8 @@ TEST_P(ChaosSweepTest, RandomScheduleNeverFailsAQuery) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     fault::FaultInjector injector(ChaosSpec(seed));
     tc.index.disk().SetFaultInjector(&injector);
-    buffer::BufferManager pool(&tc.index.disk(), 12,
-                               buffer::MakePolicy(config.policy));
-    pool.SetResilience(FastResilience());
+    serve::ConcurrentBufferPool pool(&tc.index.disk(),
+                                     ResilientPool(12, config.policy));
     core::FilteringEvaluator evaluator(&tc.index, eval);
     for (const core::Query& q : RefinementQueries(10)) {
       auto r = evaluator.Evaluate(q, &pool);
@@ -331,7 +333,7 @@ TEST_P(ChaosSweepTest, RandomScheduleNeverFailsAQuery) {
       EXPECT_TRUE(std::isfinite(er.quality_bound));
       if (er.pages_lost > 0) EXPECT_GT(er.quality_bound, 0.0);
       // Invariant 3: stats conservation under every schedule.
-      const buffer::BufferStats& stats = pool.stats();
+      const buffer::BufferStats& stats = pool.StatsSnapshot();
       EXPECT_EQ(stats.fetches, stats.hits + stats.misses)
           << "seed " << seed;
     }
@@ -354,8 +356,8 @@ TEST(ChaosRecallTest, RecallFloorScalesWithPagesLost) {
   eval.top_n = 20;
   core::FilteringEvaluator evaluator(&tc.index, eval);
 
-  buffer::BufferManager clean_pool(
-      &tc.index.disk(), 16, buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool clean_pool(&tc.index.disk(),
+                                         serve::PoolOptions(16));
   auto reference = evaluator.Evaluate(q, &clean_pool);
   ASSERT_TRUE(reference.ok());
 
@@ -368,9 +370,7 @@ TEST(ChaosRecallTest, RecallFloorScalesWithPagesLost) {
         {fault::FaultKind::kPermanentBadPage, rate});
     fault::FaultInjector injector(spec);
     tc.index.disk().SetFaultInjector(&injector);
-    buffer::BufferManager pool(&tc.index.disk(), 16,
-                               buffer::MakePolicy(buffer::PolicyKind::kLru));
-    pool.SetResilience(FastResilience());
+    serve::ConcurrentBufferPool pool(&tc.index.disk(), ResilientPool(16));
     auto r = evaluator.Evaluate(q, &pool);
     tc.index.disk().SetFaultInjector(nullptr);
     ASSERT_TRUE(r.ok());

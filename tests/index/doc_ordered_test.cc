@@ -3,11 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include "buffer/buffer_manager.h"
-#include "buffer/policy_factory.h"
 #include "core/filtering_evaluator.h"
 #include "index/index_builder.h"
 #include "index/index_io.h"
+#include "serve/concurrent_buffer_pool.h"
 
 namespace irbuf::index {
 namespace {
@@ -91,9 +90,8 @@ TEST(DocOrderedIndexTest, FilteringCannotStopEarly) {
     eval.c_ins = 0.02;  // Low enough that the late f=30 posting inserts.
     eval.c_add = 0.002;
     core::FilteringEvaluator evaluator(&index.value(), eval);
-    buffer::BufferManager pool(
-        &index.value().disk(), 64,
-        buffer::MakePolicy(buffer::PolicyKind::kLru));
+    serve::ConcurrentBufferPool pool(&index.value().disk(),
+                                     serve::PoolOptions(64));
     auto result = evaluator.Evaluate(q, &pool);
     ASSERT_TRUE(result.ok());
 

@@ -105,5 +105,21 @@ TEST(IndexIoTest, TruncatedFileRejected) {
   std::remove(path.c_str());
 }
 
+TEST(IndexIoTest, CorruptDocCountRejectedBeforeAllocating) {
+  InvertedIndex original = MakeIndex();
+  std::string path = TempPath("huge_num_docs.irbf");
+  ASSERT_TRUE(SaveIndex(original, path).ok());
+  // num_docs follows magic, version and the list-order tag. 2^32 - 1
+  // documents would size a 32 GiB norms vector.
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 12, SEEK_SET), 0);
+  const unsigned char huge[4] = {0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_EQ(std::fwrite(huge, 1, sizeof(huge), f), sizeof(huge));
+  std::fclose(f);
+  EXPECT_EQ(LoadIndex(path).status().code(), StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace irbuf::index

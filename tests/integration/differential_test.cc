@@ -24,8 +24,8 @@ std::vector<core::ScoredDoc> EvaluateWith(const index::InvertedIndex& index,
                                           buffer::PolicyKind policy,
                                           size_t pool_pages,
                                           const core::EvalOptions& eval) {
-  buffer::BufferManager pool(&index.disk(), pool_pages,
-                             buffer::MakePolicy(policy));
+  serve::ConcurrentBufferPool pool(&index.disk(),
+                                   serve::PoolOptions(pool_pages, policy));
   core::FilteringEvaluator evaluator(&index, eval);
   auto result = evaluator.Evaluate(q, &pool);
   EXPECT_TRUE(result.ok());
@@ -134,10 +134,8 @@ TEST_P(PersistenceDifferentialTest, SaveLoadEvaluatesIdentically) {
   ExpectSameRanking(a, b, "persistence");
 
   // I/O accounting must also be identical (same pages, same misses).
-  buffer::BufferManager p1(&tc.index.disk(), 8,
-                           buffer::MakePolicy(buffer::PolicyKind::kLru));
-  buffer::BufferManager p2(&loaded.value().disk(), 8,
-                           buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool p1(&tc.index.disk(), serve::PoolOptions(8));
+  serve::ConcurrentBufferPool p2(&loaded.value().disk(), serve::PoolOptions(8));
   core::FilteringEvaluator e1(&tc.index, tuned);
   core::FilteringEvaluator e2(&loaded.value(), tuned);
   auto r1 = e1.Evaluate(q, &p1);

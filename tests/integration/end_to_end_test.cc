@@ -8,6 +8,7 @@
 #include "ir/experiment.h"
 #include "ir/ir_system.h"
 #include "metrics/effectiveness.h"
+#include "serve/concurrent_buffer_pool.h"
 #include "workload/refinement.h"
 
 namespace irbuf {
@@ -49,7 +50,7 @@ TEST_F(EndToEndTest, RefinementSessionOverRealText) {
   EXPECT_EQ(r3.value().top_docs[0].doc, 4u);
   // Later refinements reuse buffered pages: second run of overlapping
   // terms must hit.
-  EXPECT_GT(system.buffers().stats().hits, 0u);
+  EXPECT_GT(system.buffers().StatsSnapshot().hits, 0u);
 }
 
 TEST_F(EndToEndTest, WorkloadConstructionOverRealText) {
@@ -81,8 +82,7 @@ TEST_F(EndToEndTest, BooleanAndRankedAgreeOnContainment) {
   ASSERT_EQ(q.size(), 2u);
 
   core::BooleanEvaluator boolean(&*index_);
-  buffer::BufferManager pool1(
-      &index_->disk(), 64, buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool1(&index_->disk(), serve::PoolOptions(64));
   auto anded = boolean.Evaluate(q, core::BooleanOp::kAnd, &pool1);
   ASSERT_TRUE(anded.ok());
   ASSERT_FALSE(anded.value().docs.empty());
@@ -92,8 +92,7 @@ TEST_F(EndToEndTest, BooleanAndRankedAgreeOnContainment) {
   full.c_add = 0.0;
   full.top_n = 1000;
   core::FilteringEvaluator ranked(&*index_, full);
-  buffer::BufferManager pool2(
-      &index_->disk(), 64, buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool pool2(&index_->disk(), serve::PoolOptions(64));
   auto scored = ranked.Evaluate(q, &pool2);
   ASSERT_TRUE(scored.ok());
 
@@ -115,10 +114,8 @@ TEST_F(EndToEndTest, TinyBufferPoolStillCorrect) {
   full.c_add = 0.0;
   core::FilteringEvaluator evaluator(&*index_, full);
 
-  buffer::BufferManager big(
-      &index_->disk(), 512, buffer::MakePolicy(buffer::PolicyKind::kLru));
-  buffer::BufferManager tiny(
-      &index_->disk(), 1, buffer::MakePolicy(buffer::PolicyKind::kLru));
+  serve::ConcurrentBufferPool big(&index_->disk(), serve::PoolOptions(512));
+  serve::ConcurrentBufferPool tiny(&index_->disk(), serve::PoolOptions(1));
   auto rb = evaluator.Evaluate(q, &big);
   auto rt = evaluator.Evaluate(q, &tiny);
   ASSERT_TRUE(rb.ok());

@@ -23,12 +23,12 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "buffer/buffer_manager.h"
 #include "buffer/policy_factory.h"
 #include "core/boolean_evaluator.h"
 #include "core/filtering_evaluator.h"
 #include "core/quit_continue_evaluator.h"
 #include "corpus/synthetic_corpus.h"
+#include "serve/concurrent_buffer_pool.h"
 
 namespace irbuf {
 namespace {
@@ -71,8 +71,8 @@ constexpr size_t kPoolPages = 32;
 
 uint64_t FilteringDigest(bool buffer_aware, buffer::PolicyKind policy) {
   const corpus::SyntheticCorpus& corpus = GoldenCorpus();
-  buffer::BufferManager pool(&corpus.index().disk(), kPoolPages,
-                             buffer::MakePolicy(policy));
+  serve::ConcurrentBufferPool pool(&corpus.index().disk(),
+                                   serve::PoolOptions(kPoolPages, policy));
   core::EvalOptions options;
   options.buffer_aware = buffer_aware;
   options.top_n = 20;
@@ -97,8 +97,8 @@ uint64_t FilteringDigest(bool buffer_aware, buffer::PolicyKind policy) {
 
 uint64_t BooleanDigest(buffer::PolicyKind policy) {
   const corpus::SyntheticCorpus& corpus = GoldenCorpus();
-  buffer::BufferManager pool(&corpus.index().disk(), kPoolPages,
-                             buffer::MakePolicy(policy));
+  serve::ConcurrentBufferPool pool(&corpus.index().disk(),
+                                   serve::PoolOptions(kPoolPages, policy));
   core::BooleanEvaluator evaluator(&corpus.index());
   uint64_t h = kFnvSeed;
   for (const corpus::Topic& topic : corpus.topics()) {
@@ -119,8 +119,8 @@ uint64_t BooleanDigest(buffer::PolicyKind policy) {
 uint64_t QuitContinueDigest(core::LimitMode mode,
                             buffer::PolicyKind policy) {
   const corpus::SyntheticCorpus& corpus = GoldenCorpus();
-  buffer::BufferManager pool(&corpus.index().disk(), kPoolPages,
-                             buffer::MakePolicy(policy));
+  serve::ConcurrentBufferPool pool(&corpus.index().disk(),
+                                   serve::PoolOptions(kPoolPages, policy));
   core::QuitContinueOptions options;
   options.mode = mode;
   options.accumulator_limit = 200;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "../core/test_index.h"
+#include "fault/fault_injector.h"
+#include "obs/query_tracer.h"
 #include "workload/refinement.h"
 
 namespace irbuf::ir {
@@ -110,6 +112,77 @@ TEST_F(ExperimentTest, ColdQueryIsReproducible) {
   for (size_t i = 0; i < a.value().top_docs.size(); ++i) {
     EXPECT_EQ(a.value().top_docs[i].doc, b.value().top_docs[i].doc);
   }
+}
+
+// ---- Fault events in the trace: the pool tags retries and breaker
+// rejections into the run's timeline. ----
+
+SequenceRunOptions TracedResilientRun(obs::QueryTracer* tracer) {
+  SequenceRunOptions options;
+  options.buffer_pages = 8;
+  options.tracer = tracer;
+  options.resilience.enabled = true;
+  options.resilience.sleep_on_backoff = false;  // Drawn, not slept.
+  return options;
+}
+
+TEST_F(ExperimentTest, TraceRecordsRecoveredRetry) {
+  // Exactly one transient read error: the first miss fails once, and
+  // its retry succeeds.
+  fault::FaultSpec spec;
+  fault::FaultRule transient{fault::FaultKind::kTransientRead, 1.0};
+  transient.max_faults = 1;
+  spec.rules.push_back(transient);
+  fault::FaultInjector injector(spec);
+  tc_->index.disk().SetFaultInjector(&injector);
+  obs::QueryTracer tracer;
+  auto result = RunRefinementSequence(tc_->index, sequence_, {},
+                                      TracedResilientRun(&tracer));
+  tc_->index.disk().SetFaultInjector(nullptr);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().degraded_steps, 0u);
+
+  size_t retries = 0;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.kind != obs::TraceEventKind::kRetry) continue;
+    ++retries;
+    EXPECT_TRUE(e.hit);     // Recovered.
+    EXPECT_EQ(e.n, 2u);     // One failed attempt, one good one.
+  }
+  EXPECT_EQ(retries, 1u);
+  EXPECT_EQ(tracer.CountKind(obs::TraceEventKind::kBreaker), 0u);
+}
+
+TEST_F(ExperimentTest, TraceRecordsBreakerRejections) {
+  // The device is down for the whole run: every attempt fails, the
+  // breaker trips after its minimum sample, and later misses are
+  // rejected without touching the device.
+  fault::FaultSpec spec;
+  spec.rules.push_back({fault::FaultKind::kTransientRead, 1.0});
+  fault::FaultInjector injector(spec);
+  tc_->index.disk().SetFaultInjector(&injector);
+  obs::QueryTracer tracer;
+  SequenceRunOptions options = TracedResilientRun(&tracer);
+  options.resilience.breaker.open_cooldown_us = 600'000'000;  // Stays open.
+  auto result = RunRefinementSequence(tc_->index, sequence_, {}, options);
+  tc_->index.disk().SetFaultInjector(nullptr);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(result.value().total_pages_lost, 0u);
+
+  size_t rejected = 0;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.kind != obs::TraceEventKind::kBreaker) continue;
+    ASSERT_NE(e.phase, nullptr);
+    EXPECT_STREQ(e.phase, "rejected");
+    ++rejected;
+  }
+  EXPECT_GT(rejected, 0u);
+  // Reads made before the trip exhausted their retries unrecovered.
+  size_t exhausted = 0;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.kind == obs::TraceEventKind::kRetry && !e.hit) ++exhausted;
+  }
+  EXPECT_GT(exhausted, 0u);
 }
 
 }  // namespace

@@ -42,14 +42,14 @@ TEST_F(IrSystemTest, BuffersPersistAcrossSearches) {
   options.buffer_pages = 64;
   IrSystem system(&*index_, options);
   ASSERT_TRUE(system.Search("satellite launch contract", *pipeline_).ok());
-  uint64_t misses_after_first = system.buffers().stats().misses;
+  uint64_t misses_after_first = system.buffers().StatsSnapshot().misses;
   // The same query again: everything buffered.
   ASSERT_TRUE(system.Search("satellite launch contract", *pipeline_).ok());
-  EXPECT_EQ(system.buffers().stats().misses, misses_after_first);
+  EXPECT_EQ(system.buffers().StatsSnapshot().misses, misses_after_first);
 
   system.FlushBuffers();
   ASSERT_TRUE(system.Search("satellite launch contract", *pipeline_).ok());
-  EXPECT_GT(system.buffers().stats().misses, misses_after_first);
+  EXPECT_GT(system.buffers().StatsSnapshot().misses, misses_after_first);
 }
 
 TEST_F(IrSystemTest, PolicyAndAlgorithmConfigurable) {

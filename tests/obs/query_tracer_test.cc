@@ -108,13 +108,12 @@ class TracedEvaluationTest : public ::testing::Test {
     core::EvalOptions options;  // Persin's tuned constants.
     options.tracer = tracer;
     core::FilteringEvaluator evaluator(&tc_->index, options);
-    buffer::BufferManager pool(
-        &tc_->index.disk(), pool_pages,
-        buffer::MakePolicy(buffer::PolicyKind::kLru));
+    serve::ConcurrentBufferPool pool(&tc_->index.disk(),
+                                     serve::PoolOptions(pool_pages));
     pool.SetTracer(tracer);
     auto result = evaluator.Evaluate(query_, &pool);
     EXPECT_TRUE(result.ok());
-    stats_ = pool.stats();
+    stats_ = pool.StatsSnapshot();
     return std::move(result).value();
   }
 

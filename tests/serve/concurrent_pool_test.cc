@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "../buffer/test_disk.h"
-#include "buffer/buffer_manager.h"
 #include "buffer/policy_factory.h"
 #include "util/rng.h"
 
@@ -112,55 +112,106 @@ TEST(ConcurrentPoolTest, UnknownPageReportsNotFoundAndFreesTheFrame) {
   EXPECT_EQ(pool.StatsSnapshot().misses, disk->stats().reads);
 }
 
-/// Drives BufferManager and ConcurrentBufferPool through the same fetch
-/// sequence on one thread and asserts identical decisions.
-void ExpectSingleThreadEquivalence(PolicyKind kind, bool with_context) {
-  auto disk_a = MakeTestDisk({6, 4, 5, 3});
-  auto disk_b = MakeTestDisk({6, 4, 5, 3});
-  buffer::BufferManager manager(disk_a.get(), 4, buffer::MakePolicy(kind));
-  ConcurrentBufferPool pool(disk_b.get(), Opts(4, kind));
+/// What the single-threaded buffer manager this pool replaced produced
+/// for the fetch sequence below, recorded before it was deleted: final
+/// counters, per-term b_t, the resident set, and FNV-1a digests of the
+/// hit/miss pattern and of the victim sequence (packed PageIds in
+/// eviction order), plus its first twelve victims.
+struct FrozenRun {
+  uint64_t fetches, hits, misses, evictions;
+  uint32_t resident[4];
+  uint64_t miss_digest;
+  size_t victims;
+  uint64_t victim_digest;
+  std::vector<PageId> first_victims;
+  std::vector<PageId> final_resident;  // Sorted by Pack().
+};
 
+uint64_t Fnv(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFFu;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+/// Drives a one-thread pool through 400 seeded fetches over four terms
+/// and asserts every decision matches the frozen reference.
+void ExpectFrozenRun(PolicyKind kind, bool with_context,
+                     const FrozenRun& want) {
+  auto disk = MakeTestDisk({6, 4, 5, 3});
+  ConcurrentBufferPool pool(disk.get(), Opts(4, kind));
   if (with_context) {
     buffer::QueryContext ctx;
     ctx.SetWeight(0, 2.0);
     ctx.SetWeight(2, 5.0);
-    buffer::QueryContext ctx_copy = ctx;
-    manager.SetQueryContext(std::move(ctx));
-    pool.SetQueryContext(std::move(ctx_copy));
+    pool.SetQueryContext(std::move(ctx));
   }
+  constexpr uint64_t kFnvSeed = 0xCBF29CE484222325ull;
+  uint64_t victim_digest = kFnvSeed;
+  std::vector<PageId> victims;
+  pool.SetEvictionObserver([&](const EvictionEvent& ev) {
+    EXPECT_TRUE(ev.policy_victim);
+    victim_digest = Fnv(victim_digest, ev.page.Pack());
+    victims.push_back(ev.page);
+  });
 
   Pcg32 rng(99);
   const std::vector<uint32_t> pages = {6, 4, 5, 3};
+  uint64_t miss_digest = kFnvSeed;
   for (int i = 0; i < 400; ++i) {
     const TermId term = rng.NextBounded(4);
     const PageId id{term, rng.NextBounded(pages[term])};
-    auto a = manager.FetchPinned(id);
-    auto b = pool.FetchPinned(id);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.value().was_miss(), b.value().was_miss()) << "fetch " << i;
+    auto fetched = pool.FetchPinned(id);
+    ASSERT_TRUE(fetched.ok());
+    miss_digest = Fnv(miss_digest, fetched.value().was_miss() ? 1 : 0);
   }
+  const buffer::BufferStats stats = pool.StatsSnapshot();
+  EXPECT_EQ(stats.fetches, want.fetches);
+  EXPECT_EQ(stats.hits, want.hits);
+  EXPECT_EQ(stats.misses, want.misses);
+  EXPECT_EQ(stats.evictions, want.evictions);
   for (TermId t = 0; t < 4; ++t) {
-    EXPECT_EQ(manager.ResidentPages(t), pool.ResidentPages(t)) << "t" << t;
+    EXPECT_EQ(pool.ResidentPages(t), want.resident[t]) << "t" << t;
   }
-  const buffer::BufferStats sa = manager.StatsSnapshot();
-  const buffer::BufferStats sb = pool.StatsSnapshot();
-  EXPECT_EQ(sa.fetches, sb.fetches);
-  EXPECT_EQ(sa.hits, sb.hits);
-  EXPECT_EQ(sa.misses, sb.misses);
-  EXPECT_EQ(sa.evictions, sb.evictions);
+  EXPECT_EQ(miss_digest, want.miss_digest);
+  EXPECT_EQ(victims.size(), want.victims);
+  EXPECT_EQ(victim_digest, want.victim_digest);
+  ASSERT_GE(victims.size(), want.first_victims.size());
+  for (size_t i = 0; i < want.first_victims.size(); ++i) {
+    EXPECT_EQ(victims[i], want.first_victims[i]) << "victim " << i;
+  }
+  std::vector<PageId> resident = pool.ResidentPageIds();
+  std::sort(resident.begin(), resident.end(),
+            [](PageId a, PageId b) { return a.Pack() < b.Pack(); });
+  EXPECT_EQ(resident, want.final_resident);
 }
 
 TEST(ConcurrentPoolTest, SingleThreadMatchesBufferManagerLru) {
-  ExpectSingleThreadEquivalence(PolicyKind::kLru, false);
+  ExpectFrozenRun(PolicyKind::kLru, false,
+                  {400, 86, 314, 310, {1, 0, 1, 2}, 0xC5B19DB52D23FC25ull,
+                   310, 0xF43521C2F5B1FD77ull,
+                   {{1, 0}, {0, 3}, {2, 0}, {3, 1}, {1, 3}, {3, 0},
+                    {0, 0}, {0, 4}, {2, 3}, {0, 5}, {3, 2}, {3, 1}},
+                   {{0, 1}, {2, 3}, {3, 0}, {3, 1}}});
 }
 
 TEST(ConcurrentPoolTest, SingleThreadMatchesBufferManagerRap) {
-  ExpectSingleThreadEquivalence(PolicyKind::kRap, true);
+  ExpectFrozenRun(PolicyKind::kRap, true,
+                  {400, 76, 324, 320, {1, 0, 3, 0}, 0x19C3D1B9348F10A5ull,
+                   320, 0x6BD7CBB15C620826ull,
+                   {{3, 1}, {1, 3}, {3, 0}, {1, 0}, {0, 4}, {0, 5},
+                    {0, 3}, {0, 5}, {1, 2}, {3, 2}, {3, 1}, {1, 2}},
+                   {{0, 1}, {2, 0}, {2, 1}, {2, 2}}});
 }
 
 TEST(ConcurrentPoolTest, SingleThreadMatchesBufferManagerClock) {
-  ExpectSingleThreadEquivalence(PolicyKind::kClock, false);
+  ExpectFrozenRun(PolicyKind::kClock, false,
+                  {400, 90, 310, 306, {1, 0, 1, 2}, 0x900CDEC38F949A45ull,
+                   306, 0x7C1B5E1C22828246ull,
+                   {{1, 0}, {0, 3}, {2, 0}, {3, 1}, {1, 3}, {3, 0},
+                    {0, 0}, {0, 4}, {0, 5}, {3, 2}, {2, 3}, {1, 2}},
+                   {{0, 1}, {2, 3}, {3, 1}, {3, 2}}});
 }
 
 TEST(ConcurrentPoolTest, ExternalContextModeIgnoresSetQueryContext) {

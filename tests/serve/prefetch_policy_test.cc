@@ -129,11 +129,11 @@ TEST(PrefetchPolicyTest, VictimSequenceUndistortedByUntouchedPrefetch) {
 
     std::vector<PageId> victims_off;
     std::vector<PageId> victims_on;
-    pool_off.SetEvictionObserver([&](PageId id, bool policy_victim) {
-      if (policy_victim) victims_off.push_back(id);
+    pool_off.SetEvictionObserver([&](const EvictionEvent& ev) {
+      if (ev.policy_victim) victims_off.push_back(ev.page);
     });
-    pool_on.SetEvictionObserver([&](PageId id, bool policy_victim) {
-      if (policy_victim) victims_on.push_back(id);
+    pool_on.SetEvictionObserver([&](const EvictionEvent& ev) {
+      if (ev.policy_victim) victims_on.push_back(ev.page);
     });
 
     // Park term-1 readahead in the on-pool's spare frames; the demand
@@ -227,8 +227,8 @@ TEST(PrefetchPolicyTest, WindowOverflowReclaimsOldestTaggedOnly) {
   uint32_t resident = 0;
   {
     ConcurrentBufferPool pool(disk.get(), opts);
-    pool.SetEvictionObserver([&](PageId id, bool policy_victim) {
-      evictions.push_back({id, policy_victim});
+    pool.SetEvictionObserver([&](const EvictionEvent& ev) {
+      evictions.push_back({ev.page, ev.policy_victim});
     });
     for (uint32_t p = 0; p < 14; ++p) {
       const PageId id{0, p};

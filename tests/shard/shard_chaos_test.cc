@@ -370,8 +370,8 @@ TEST(ShardChaosZeroRateTest, FailureDomainApparatusIsBitInvisible) {
   for (size_t num_shards : {2u, 4u}) {
     // Fresh reference pool per shard count: each sharded run below
     // replays the same warm sequence from cold.
-    buffer::BufferManager reference_pool(
-        &tc.index.disk(), 16, buffer::MakePolicy(buffer::PolicyKind::kLru));
+    serve::ConcurrentBufferPool reference_pool(&tc.index.disk(),
+                                               serve::PoolOptions(16));
     shard::ShardOptions sharding;
     sharding.num_shards = num_shards;
     sharding.page_size = kPageSize;

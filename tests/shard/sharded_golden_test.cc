@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -56,6 +57,36 @@ void ExpectBitIdentical(const std::vector<core::ScoredDoc>& sharded,
   }
 }
 
+// FNV-1a digests of the unsharded reference rankings (doc ids and the
+// raw bits of every score), recorded from the single-threaded buffer
+// manager the reference pool replaced. They pin the reference itself, so
+// a change in the unsharded path cannot move both sides of a comparison
+// together. DF and BAF rankings do not depend on the replacement policy,
+// so every policy shares one digest.
+constexpr uint64_t kDfWarmDigest = 0xB17D18264A333556ull;
+constexpr uint64_t kBafColdDigest = 0x0A1EECBD42547DFCull;
+constexpr uint64_t kSharedRapDigest = 0x5A19F0E47CD917A1ull;
+
+uint64_t Fnv(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFFu;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvSeed = 0xCBF29CE484222325ull;
+
+uint64_t FoldRanking(uint64_t h, const std::vector<core::ScoredDoc>& docs) {
+  for (const core::ScoredDoc& sd : docs) {
+    h = Fnv(h, sd.doc);
+    uint64_t bits;
+    std::memcpy(&bits, &sd.score, sizeof(bits));
+    h = Fnv(h, bits);
+  }
+  return Fnv(h, docs.size());
+}
+
 shard::ShardedEngineOptions EngineOptions(buffer::PolicyKind policy,
                                           bool buffer_aware) {
   shard::ShardedEngineOptions options;
@@ -74,15 +105,18 @@ TEST(ShardedGoldenTest, DfWarmSequencesMatchUnshardedBitForBit) {
 
   for (buffer::PolicyKind policy : kPolicies) {
     // Unsharded reference: one pool warmed across the whole sequence.
-    buffer::BufferManager reference_pool(&tc.index.disk(), 16,
-                                         buffer::MakePolicy(policy));
+    serve::ConcurrentBufferPool reference_pool(
+        &tc.index.disk(), serve::PoolOptions(16, policy));
     core::FilteringEvaluator reference(&tc.index, eval);
     std::vector<std::vector<core::ScoredDoc>> expected;
+    uint64_t digest = kFnvSeed;
     for (const core::Query& q : queries) {
       auto result = reference.Evaluate(q, &reference_pool);
       ASSERT_TRUE(result.ok());
+      digest = FoldRanking(digest, result.value().top_docs);
       expected.push_back(std::move(result.value().top_docs));
     }
+    EXPECT_EQ(digest, kDfWarmDigest) << buffer::PolicyKindName(policy);
 
     for (size_t num_shards : {1u, 2u, 3u, 4u}) {
       shard::ShardOptions sharding;
@@ -116,6 +150,20 @@ TEST(ShardedGoldenTest, BafColdQueriesMatchUnshardedBitForBit) {
   eval.buffer_aware = true;
 
   for (buffer::PolicyKind policy : kPolicies) {
+    // Fresh pools on both sides: the cold-start contract.
+    std::vector<std::vector<core::ScoredDoc>> expected;
+    uint64_t digest = kFnvSeed;
+    for (const core::Query& q : queries) {
+      serve::ConcurrentBufferPool reference_pool(
+          &tc.index.disk(), serve::PoolOptions(16, policy));
+      core::FilteringEvaluator reference(&tc.index, eval);
+      auto result = reference.Evaluate(q, &reference_pool);
+      ASSERT_TRUE(result.ok());
+      digest = FoldRanking(digest, result.value().top_docs);
+      expected.push_back(std::move(result.value().top_docs));
+    }
+    EXPECT_EQ(digest, kBafColdDigest) << buffer::PolicyKindName(policy);
+
     for (size_t num_shards : {1u, 2u, 4u}) {
       shard::ShardOptions sharding;
       sharding.num_shards = num_shards;
@@ -123,19 +171,12 @@ TEST(ShardedGoldenTest, BafColdQueriesMatchUnshardedBitForBit) {
       auto sharded = shard::ShardIndex(tc.index, sharding);
       ASSERT_TRUE(sharded.ok());
       for (size_t i = 0; i < queries.size(); ++i) {
-        // Fresh pools on both sides: the cold-start contract.
-        buffer::BufferManager reference_pool(&tc.index.disk(), 16,
-                                             buffer::MakePolicy(policy));
-        core::FilteringEvaluator reference(&tc.index, eval);
-        auto expected = reference.Evaluate(queries[i], &reference_pool);
-        ASSERT_TRUE(expected.ok());
-
         shard::ShardedEngine engine(&sharded.value(),
                                     EngineOptions(policy, true));
         auto result = engine.Evaluate(queries[i], nullptr, 0);
         ASSERT_TRUE(result.ok());
         ExpectBitIdentical(
-            result.value().top_docs, expected.value().top_docs,
+            result.value().top_docs, expected[i],
             "BAF policy " + std::to_string(static_cast<int>(policy)) +
                 " shards " + std::to_string(num_shards) + " query " +
                 std::to_string(i));
@@ -152,8 +193,8 @@ TEST(ShardedGoldenTest, SharedContextDfStillMatches) {
   const std::vector<core::Query> queries = MakeQueries(tc, 55, 4);
   core::EvalOptions eval;
 
-  buffer::BufferManager reference_pool(
-      &tc.index.disk(), 16, buffer::MakePolicy(buffer::PolicyKind::kRap));
+  serve::ConcurrentBufferPool reference_pool(
+      &tc.index.disk(), serve::PoolOptions(16, buffer::PolicyKind::kRap));
   core::FilteringEvaluator reference(&tc.index, eval);
 
   shard::ShardOptions sharding;
@@ -167,14 +208,17 @@ TEST(ShardedGoldenTest, SharedContextDfStillMatches) {
   options.lanes_per_shard = 2;
   shard::ShardedEngine engine(&sharded.value(), options);
 
+  uint64_t digest = kFnvSeed;
   for (size_t i = 0; i < queries.size(); ++i) {
     auto expected = reference.Evaluate(queries[i], &reference_pool);
     auto result = engine.Evaluate(queries[i], nullptr, 0);
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(result.ok());
+    digest = FoldRanking(digest, expected.value().top_docs);
     ExpectBitIdentical(result.value().top_docs, expected.value().top_docs,
                        "shared-context query " + std::to_string(i));
   }
+  EXPECT_EQ(digest, kSharedRapDigest);
 }
 
 // ---- shards=1 through the server: the engine-routed QueryServer must

@@ -45,8 +45,8 @@ TEST(ShardedStressTest, EightWorkersFourShardsThousandQueries) {
       for (TermId t : SampleDistinct(12, 2 + rng.NextBounded(3), &rng)) {
         q.AddTerm(t, 1 + rng.NextBounded(2));
       }
-      buffer::BufferManager pool(&tc.index.disk(), 16,
-                                 buffer::MakePolicy(buffer::PolicyKind::kLru));
+      serve::ConcurrentBufferPool pool(&tc.index.disk(),
+                                       serve::PoolOptions(16));
       auto result = reference.Evaluate(q, &pool);
       ASSERT_TRUE(result.ok());
       expected.push_back(std::move(result.value().top_docs));
@@ -135,8 +135,8 @@ TEST(ShardedStressTest, PrefetchDepth8KeepsRankingsExactAcrossShards) {
       for (TermId t : SampleDistinct(12, 2 + rng.NextBounded(3), &rng)) {
         q.AddTerm(t, 1 + rng.NextBounded(2));
       }
-      buffer::BufferManager pool(&tc.index.disk(), 16,
-                                 buffer::MakePolicy(buffer::PolicyKind::kLru));
+      serve::ConcurrentBufferPool pool(&tc.index.disk(),
+                                       serve::PoolOptions(16));
       auto result = reference.Evaluate(q, &pool);
       ASSERT_TRUE(result.ok());
       expected.push_back(std::move(result.value().top_docs));

@@ -111,5 +111,63 @@ TEST(BinaryIoTest, MoveTransfersOwnership) {
   std::remove(path.c_str());
 }
 
+/// Writes a 16-byte file: a u32 length field of `length`, then twelve
+/// bytes of payload.
+void WriteLengthPrefixedFile(const std::string& path, uint32_t length) {
+  auto writer = BinaryWriter::Open(path);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer.value().WriteU32(length).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(writer.value().WriteU32(7).ok());
+  ASSERT_TRUE(writer.value().Close().ok());
+}
+
+TEST(BinaryIoTest, OversizedLengthFieldFailsBeforeAllocating) {
+  // A corrupt length of 4 GiB in a 16-byte file must fail the read with
+  // IOError instead of sizing a 4 GiB buffer first.
+  std::string path = TempPath("oversized.bin");
+  WriteLengthPrefixedFile(path, 0xFFFFFFFFu);
+  {
+    auto reader = BinaryReader::Open(path);
+    ASSERT_TRUE(reader.ok());
+    std::string s;
+    EXPECT_EQ(reader.value().ReadString(&s).code(), StatusCode::kIOError);
+    EXPECT_TRUE(s.empty());
+  }
+  {
+    auto reader = BinaryReader::Open(path);
+    ASSERT_TRUE(reader.ok());
+    std::vector<uint8_t> bytes;
+    EXPECT_EQ(reader.value().ReadBytes(&bytes).code(), StatusCode::kIOError);
+    EXPECT_TRUE(bytes.empty());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIoTest, LengthFieldThatFitsStillReads) {
+  std::string path = TempPath("fits.bin");
+  WriteLengthPrefixedFile(path, 12);  // Exactly the bytes left.
+  auto reader = BinaryReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(reader.value().ReadBytes(&bytes).ok());
+  EXPECT_EQ(bytes.size(), 12u);
+  EXPECT_TRUE(reader.value().AtEof());
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIoTest, CheckCountBoundsItemsByBytesLeft) {
+  std::string path = TempPath("count.bin");
+  WriteLengthPrefixedFile(path, 0);
+  auto reader = BinaryReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  uint32_t v = 0;
+  ASSERT_TRUE(reader.value().ReadU32(&v).ok());  // 12 bytes left.
+  EXPECT_TRUE(reader.value().CheckCount(3, 4).ok());
+  EXPECT_EQ(reader.value().CheckCount(4, 4).code(), StatusCode::kIOError);
+  EXPECT_EQ(reader.value().CheckCount(0xFFFFFFFFu, 8).code(),
+            StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace irbuf

@@ -2,16 +2,18 @@
 // Fixture for the raw-fetch rule: serving/evaluator code must pin pages
 // through the PinnedPage RAII protocol, never via raw FetchPage.
 
-#include "buffer/buffer_manager.h"
+#include "serve/concurrent_buffer_pool.h"
 
 namespace irbuf::serve {
 
-void BadDirectFetch(buffer::BufferManager& bm, PageId id) {
+template <typename UnpinnedPool>
+void BadDirectFetch(UnpinnedPool& bm, PageId id) {
   auto page = bm.FetchPage(id);  // LINT-EXPECT: raw-fetch
   (void)page;
 }
 
-void BadPointerFetch(buffer::BufferManager* bm, PageId id) {
+template <typename UnpinnedPool>
+void BadPointerFetch(UnpinnedPool* bm, PageId id) {
   auto page = bm->FetchPage(id);  // LINT-EXPECT: raw-fetch
   (void)page;
 }

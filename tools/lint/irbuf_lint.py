@@ -7,8 +7,10 @@ language semantics:
 
   raw-fetch        Evaluator and serving code (src/core/, src/serve/)
                    must access pages through the PinnedPage RAII
-                   protocol (FetchPinned); raw BufferManager::FetchPage
-                   returns a pointer the next fetch may invalidate.
+                   protocol (FetchPinned). The buffer pool has no
+                   unpinned fetch; the rule keeps one from coming back,
+                   since a raw FetchPage pointer is one the next fetch
+                   may invalidate.
   dropped-status   A util::Status / Result<T> returned by a known
                    status API must not be discarded as a bare statement.
                    (The compiler enforces this too via [[nodiscard]] +
