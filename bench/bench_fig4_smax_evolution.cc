@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "obs/query_tracer.h"
 #include "util/str.h"
 
 using namespace irbuf;
@@ -20,22 +19,21 @@ int main() {
       "QUERY1 rises fastest/highest (big jump at term ~12); QUERY2 rises "
       "in two steps (terms ~13 and ~23); QUERY3 stays flat and low");
 
-  // The trajectory comes out of the obs tracer (kTermEnd events), the
-  // same channel the telemetry export uses; the legacy per-term
-  // TermTrace stays available but is no longer needed here.
+  // The trajectory is the per-term trace's Smax after each term that
+  // read its list (the rows Tables 1-2 print), so no recorder is needed.
   bench::TelemetryFile telemetry("bench_fig4_smax_evolution");
   std::vector<std::vector<double>> series(3);
   size_t longest = 0;
   for (int qi = 0; qi < 3; ++qi) {
     core::EvalOptions tuned;  // DF with Persin's constants.
-    obs::QueryTracer tracer;
-    auto result = ir::RunColdQuery(index, corpus.topics()[qi].query, tuned,
-                                   buffer::PolicyKind::kLru, &tracer);
+    auto result = ir::RunColdQuery(index, corpus.topics()[qi].query, tuned);
     if (!result.ok()) {
       std::fprintf(stderr, "query %d failed\n", qi);
       return 1;
     }
-    series[qi] = tracer.SmaxTrajectory(0);
+    for (const core::TermTrace& row : result.value().trace) {
+      if (!row.skipped) series[qi].push_back(row.smax_after);
+    }
     longest = std::max(longest, series[qi].size());
 
     obs::JsonWriter run;

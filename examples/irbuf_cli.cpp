@@ -10,10 +10,11 @@
 //   irbuf_cli refine corpus.irbc --topic 1 --kind add-drop --policy mru
 //   irbuf_cli serve corpus.irbc --threads 4 --users 8 --queue-depth 8
 //
-// Observability: --trace prints the structured per-query event timeline
-// (phase transitions, hit/miss-tagged fetches, evictions with victim
-// metadata, Smax updates); --telemetry FILE writes the machine-readable
-// JSON (run summary + trace + metrics-registry snapshot) to FILE.
+// Observability: --trace prints the query record's timeline (term loops
+// with their thresholds and Smax, hit/miss-tagged page pins, miss reads,
+// phase transitions, evictions with victim metadata, Smax updates);
+// --telemetry FILE writes the machine-readable JSON (run summary + trace
+// + metrics-registry snapshot) to FILE.
 
 #include <algorithm>
 #include <cstdio>
@@ -34,7 +35,6 @@
 #include "metrics/effectiveness.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/query_tracer.h"
 #include "obs/span.h"
 #include "serve/query_server.h"
 #include "shard/index_sharder.h"
@@ -105,7 +105,7 @@ int Usage() {
       "term scan keeps N pages read ahead of its demand fetches "
       "(default 0 = synchronous misses; 4 is a good start at 2ms "
       "device delay)\n"
-      "--trace prints the per-query event timeline; --telemetry OUT "
+      "--trace prints the per-query record timeline; --telemetry OUT "
       "writes machine-readable JSON\n"
       "--trace-spans OUT (serve) records per-stage latency spans and "
       "lock waits and writes Chrome trace_event JSON — open OUT in "
@@ -335,6 +335,16 @@ bool WriteJsonFile(const std::string& path, const std::string& json,
   return ok;
 }
 
+/// Prints the recorded timeline (--trace): one record per line, tagged
+/// with its query (the refinement step), in start order.
+void PrintTrace(const obs::SpanRecorder& recorder) {
+  const std::vector<obs::ThreadSpans> snapshot = recorder.Snapshot();
+  size_t records = 0;
+  for (const obs::ThreadSpans& ts : snapshot) records += ts.spans.size();
+  std::printf("\ntrace (%zu records):\n%s", records,
+              obs::DumpText(snapshot).c_str());
+}
+
 int RunQuery(const corpus::SyntheticCorpus& corpus, const Args& args,
              buffer::PolicyKind policy) {
   if (args.topic < 0 ||
@@ -345,10 +355,10 @@ int RunQuery(const corpus::SyntheticCorpus& corpus, const Args& args,
   const corpus::Topic& topic = corpus.topics()[args.topic];
   core::EvalOptions eval;
   eval.buffer_aware = args.baf;
-  obs::QueryTracer tracer;
+  obs::SpanRecorder recorder;
   const bool want_obs = args.trace || !args.telemetry.empty();
-  auto result = ir::RunColdQuery(corpus.index(), topic.query, eval, policy,
-                                 want_obs ? &tracer : nullptr);
+  if (want_obs) eval.span_recorder = &recorder;
+  auto result = ir::RunColdQuery(corpus.index(), topic.query, eval, policy);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -383,14 +393,11 @@ int RunQuery(const corpus::SyntheticCorpus& corpus, const Args& args,
     w.Key("postings_processed").UInt(result.value().postings_processed);
     w.Key("accumulators").UInt(result.value().accumulators);
     w.Key("avg_precision").Num(ap);
-    w.Key("trace").Raw(tracer.ToJson());
+    w.Key("trace").Raw(obs::ToJson(recorder.Snapshot()));
     w.EndObject();
     if (!WriteJsonFile(args.telemetry, std::move(w).Take())) return 1;
   }
-  if (args.trace) {
-    std::printf("\ntrace (%zu events):\n%s", tracer.events().size(),
-                tracer.DumpText().c_str());
-  }
+  if (args.trace) PrintTrace(recorder);
   return 0;
 }
 
@@ -421,11 +428,11 @@ int Refine(const corpus::SyntheticCorpus& corpus, const Args& args,
   if (!fault_ok) return 2;
   if (injector != nullptr) run.resilience.enabled = true;
   run.deadline_us = args.deadline_ms * 1000;
-  obs::QueryTracer tracer;
+  obs::SpanRecorder recorder;
   obs::MetricsRegistry registry;
   const bool want_obs = args.trace || !args.telemetry.empty();
   if (want_obs) {
-    run.tracer = &tracer;
+    run.span_recorder = &recorder;
     run.metrics = &registry;
   }
   auto result = ir::RunRefinementSequence(corpus.index(), sequence.value(),
@@ -472,15 +479,14 @@ int Refine(const corpus::SyntheticCorpus& corpus, const Args& args,
     obs::JsonWriter w;
     w.BeginObject();
     w.Key("run").Raw(ir::SequenceTelemetryJson(
-        topic.title, run, result.value(), want_obs ? &tracer : nullptr));
+        topic.title, run, result.value(), want_obs ? &recorder : nullptr));
     w.Key("metrics").Raw(registry.ToJson());
     w.EndObject();
     if (!WriteJsonFile(args.telemetry, std::move(w).Take())) return 1;
   }
   if (args.trace) {
     std::printf("\nmetrics:\n%s", registry.DumpText().c_str());
-    std::printf("\ntrace (%zu events):\n%s", tracer.events().size(),
-                tracer.DumpText().c_str());
+    PrintTrace(recorder);
   }
   return 0;
 }
@@ -797,11 +803,13 @@ int Serve(const corpus::SyntheticCorpus& corpus, const Args& args,
     obs::JsonWriter aw;
     obs::AppendAttributionJson(attr, aw);
     attribution_json = std::move(aw).Take();
-    size_t span_count = 0;
-    for (const obs::ThreadSpans& t : snapshot) span_count += t.spans.size();
-    std::printf("spans        : %zu from %zu threads -> %s "
+    size_t record_count = 0;
+    for (const obs::ThreadSpans& t : snapshot) {
+      record_count += t.spans.size();
+    }
+    std::printf("records      : %zu from %zu threads -> %s "
                 "(open in ui.perfetto.dev)\n",
-                span_count, snapshot.size(), args.trace_spans.c_str());
+                record_count, snapshot.size(), args.trace_spans.c_str());
     uint64_t latch_wait_ns = 0;
     if (engine != nullptr) {
       for (size_t s = 0; s < engine->num_shards(); ++s) {

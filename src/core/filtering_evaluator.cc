@@ -33,7 +33,7 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
   const index::TermInfo& info = index_->lexicon().info(qt.term);
   const Thresholds th = ComputeThresholds(options_.c_ins, options_.c_add,
                                           *smax, qt.fq, info.idf);
-  obs::QueryTracer* const tracer = options_.tracer;
+  obs::SpanRecorder* const spans = options_.span_recorder;
   TermTrace trace;
   trace.term = qt.term;
   trace.idf = info.idf;
@@ -41,6 +41,18 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
   trace.smax_before = *smax;
   trace.f_ins = th.f_ins;
   trace.f_add = th.f_add;
+  // The term's row of the paper's Tables 1-2, on its kTermLoop record.
+  const auto close_term_record = [&](bool skipped) {
+    if (obs::Span* record = term_span.record()) {
+      record->hit = skipped;
+      record->page_no = info.pages;
+      record->a = th.f_ins;
+      record->b = th.f_add;
+      record->c = *smax;
+      record->n = trace.postings_processed;
+      record->m = accumulators->size();
+    }
+  };
 
   // Step 4b / 3c: when even the term's highest frequency cannot pass the
   // addition threshold, no posting can contribute — skip the whole list
@@ -51,13 +63,8 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
     trace.smax_after = *smax;
     ++result->terms_skipped;
     if (options_.record_trace) result->trace.push_back(trace);
-    if (tracer != nullptr) {
-      tracer->SkipTerm(qt.term, static_cast<double>(info.fmax), th.f_add);
-    }
+    close_term_record(/*skipped=*/true);
     return Status::OK();
-  }
-  if (tracer != nullptr) {
-    tracer->BeginTerm(qt.term, info.pages, th.f_ins, th.f_add);
   }
 
   const double wq = QueryTermWeight(qt.fq, info.idf);
@@ -96,7 +103,7 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
                                    qt.term, th.f_add, info.pages, info.fmax)));
 
   bool stop = false;
-  // Phase tracking for the tracer: "ins" while postings pass f_ins,
+  // Phase tracking for the kPhase instants: "ins" while postings pass f_ins,
   // "add" once they only pass f_add, "drop" when processing stops.
   // Frequencies are nonincreasing within a list, so phases never revert.
   const char* phase = "ins";
@@ -105,13 +112,9 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
     // The pin is scoped to this iteration: released before the next
     // page is fetched, so at most one page per query is pinned and
     // victim selection at fetch time sees no pins from this reader.
-    Result<buffer::PinnedPage> page = [&] {
-      // kPagePin covers the pool's whole fetch: stripe lookup, policy
-      // latch, and (on a miss) the nested kMissRead the pool records.
-      obs::ScopedSpan pin_span(options_.span_recorder,
-                               obs::SpanStage::kPagePin, qt.term);
-      return buffers->FetchPinned(PageId{qt.term, page_no});
-    }();
+    // The pool records the kPagePin span, tagged hit or miss.
+    Result<buffer::PinnedPage> page =
+        buffers->FetchPinned(PageId{qt.term, page_no});
     if (!page.ok()) {
       const StatusCode code = page.status().code();
       const bool device_fault = code == StatusCode::kUnavailable ||
@@ -128,7 +131,12 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
           index_->disk().PageMaxWeight(PageId{qt.term, page_no}) * wq;
       ++trace.pages_lost;
       result->quality_bound += bound;
-      if (tracer != nullptr) tracer->PageLost(qt.term, page_no, bound);
+      if (spans != nullptr) {
+        spans->RecordInstant({.term = qt.term,
+                              .stage = obs::SpanStage::kPageLost,
+                              .page_no = page_no,
+                              .a = bound});
+      }
       continue;
     }
     ++trace.pages_processed;
@@ -163,8 +171,10 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
         }
         // LINT-HOT-LOOP-END
       } else if (f > th.f_add) {
-        if (tracer != nullptr && phase[0] == 'i') {
-          tracer->Phase(qt.term, "ins->add");
+        if (spans != nullptr && phase[0] == 'i') {
+          spans->RecordInstant({.term = qt.term,
+                                .stage = obs::SpanStage::kPhase,
+                                .note = "ins->add"});
           phase = "add";
         }
         // Step 4(c)iii: contribute only to existing candidates.
@@ -184,9 +194,11 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
         // stop is counted as processed, exactly as the per-posting loop
         // counted it.
         ++trace.postings_processed;
-        if (tracer != nullptr) {
-          tracer->Phase(qt.term,
-                        phase[0] == 'i' ? "ins->drop" : "add->drop");
+        if (spans != nullptr) {
+          spans->RecordInstant(
+              {.term = qt.term,
+               .stage = obs::SpanStage::kPhase,
+               .note = phase[0] == 'i' ? "ins->drop" : "add->drop"});
         }
         stop = true;
         break;
@@ -197,10 +209,13 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
       }
     }
     if (unconditional && below_add) stop = true;
-    // One Smax event per page that moved it (posting granularity would
-    // swamp the trace; page granularity preserves the trajectory).
-    if (tracer != nullptr && *smax != page_smax_before) {
-      tracer->Smax(qt.term, page_smax_before, *smax);
+    // One Smax instant per page that moved it (posting granularity
+    // would swamp the record; page granularity preserves the trajectory).
+    if (spans != nullptr && *smax != page_smax_before) {
+      spans->RecordInstant({.term = qt.term,
+                            .stage = obs::SpanStage::kSmax,
+                            .a = page_smax_before,
+                            .b = *smax});
     }
   }
 
@@ -224,10 +239,7 @@ Status FilteringEvaluator::ProcessTerm(const QueryTerm& qt,
   result->postings_processed += trace.postings_processed;
   result->pages_lost += trace.pages_lost;
   if (options_.record_trace) result->trace.push_back(trace);
-  if (tracer != nullptr) {
-    tracer->EndTerm(qt.term, *smax, trace.postings_processed);
-    tracer->Accumulators(accumulators->size());
-  }
+  close_term_record(/*skipped=*/false);
   return Status::OK();
 }
 
@@ -310,9 +322,6 @@ Result<EvalResult> FilteringEvaluator::Evaluate(
                                   obs::SpanStage::kContextSnapshot);
     buffers->SetQueryContext(BuildQueryContext(query, index_->lexicon()));
   }
-
-  obs::QueryTracer* const tracer = options_.tracer;
-  if (tracer != nullptr) tracer->BeginQuery(query.size());
 
   AccumulatorSet accumulators;
   double smax = 0.0;
@@ -423,7 +432,6 @@ Result<EvalResult> FilteringEvaluator::Evaluate(
   result.accumulators = accumulators.size();
   result.degraded = result.pages_lost > 0 || result.deadline_hit ||
                     result.work_trimmed || result.shards_lost > 0;
-  if (tracer != nullptr) tracer->EndQuery(smax, result.accumulators);
   return result;
 }
 

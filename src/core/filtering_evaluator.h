@@ -26,7 +26,6 @@
 #include "core/accumulator_set.h"
 #include "core/query.h"
 #include "index/inverted_index.h"
-#include "obs/query_tracer.h"
 #include "obs/span.h"
 #include "util/status.h"
 
@@ -50,22 +49,16 @@ struct EvalOptions {
   /// Record the per-term trace (Tables 1-2, Figure 4). Cheap; on by
   /// default.
   bool record_trace = true;
-  /// Optional structured event tracer (obs layer): term begin/end,
+  /// Optional query record (obs/span.h): times the context snapshot,
+  /// each term's list traversal (carrying the term's f_ins, f_add, list
+  /// length, Smax after, postings and accumulator-set size), the
+  /// per-page accumulator pass and the final top-k merge, and records
   /// ins->add->drop phase transitions, page-granular Smax updates and
-  /// accumulator growth. Not owned; must outlive the evaluator. Tracing
-  /// never changes results or counters — untraced runs (nullptr) pay a
-  /// predictable branch per event site and nothing else. Note this only
-  /// covers evaluator-side events; install the same tracer on the
-  /// buffer pool (ConcurrentBufferPool::SetTracer) for fetch/eviction
-  /// events.
-  obs::QueryTracer* tracer = nullptr;
-  /// Optional latency-attribution recorder (obs/span.h): times the
-  /// context snapshot, each term's list traversal, every page pin, the
-  /// per-page accumulator pass and the final top-k merge, nested so the
-  /// serve path's p99 decomposition can tell pin wait from decode from
-  /// scoring. Same contract as `tracer`: not owned, must outlive the
-  /// evaluator, nullptr (the default) costs one branch per site and
-  /// changes nothing else.
+  /// lost pages as instants. Page pins, misses and evictions are the
+  /// pool's to record: give it the same recorder
+  /// (ConcurrentPoolOptions::span_recorder). Not owned; must outlive the
+  /// evaluator. nullptr (the default) costs one branch per site and
+  /// changes nothing else; recording never changes results or counters.
   obs::SpanRecorder* span_recorder = nullptr;
 };
 

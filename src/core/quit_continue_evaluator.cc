@@ -23,8 +23,7 @@ Result<EvalResult> QuitContinueEvaluator::Evaluate(
   AccumulatorSet accumulators;
   bool quit = false;
 
-  obs::QueryTracer* const tracer = options_.tracer;
-  if (tracer != nullptr) tracer->BeginQuery(order.size());
+  obs::SpanRecorder* const spans = options_.span_recorder;
   // The accumulator budget starts in the "grow" phase; the transition to
   // "capped" (continue) or "quit" is recorded once, when first hit.
   bool limit_hit = false;
@@ -34,7 +33,7 @@ Result<EvalResult> QuitContinueEvaluator::Evaluate(
     const index::TermInfo& info = lexicon.info(qt.term);
     const double wq = QueryTermWeight(qt.fq, info.idf);
     const uint64_t postings_before = result.postings_processed;
-    if (tracer != nullptr) tracer->BeginTerm(qt.term, info.pages, 0.0, 0.0);
+    obs::ScopedSpan term_span(spans, obs::SpanStage::kTermLoop, qt.term);
     // Quit/continue reads every page of the list in order (no threshold
     // clipping exists in this strategy), so the whole list is the plan.
     buffer::ReadaheadCursor readahead(buffers, qt.term,
@@ -58,15 +57,18 @@ Result<EvalResult> QuitContinueEvaluator::Evaluate(
           double* a = accumulators.FindOrNull(doc);
           if (a == nullptr) {
             if (accumulators.size() >= options_.accumulator_limit) {
-              if (tracer != nullptr && !limit_hit) {
+              if (spans != nullptr && !limit_hit) {
                 limit_hit = true;
-                // The limit_hit latch makes this trace event fire at
-                // most once per query, so the tracer's push_back is off
+                // The limit_hit latch makes this instant fire at most
+                // once per query, so the recorder's push_back is off
                 // the steady-state posting path.
                 // irbuf-analyzer: allow(hot-alloc-ast)
-                tracer->Phase(qt.term, options_.mode == LimitMode::kQuit
-                                           ? "grow->quit"
-                                           : "grow->capped");
+                spans->RecordInstant(
+                    {.term = qt.term,
+                     .stage = obs::SpanStage::kPhase,
+                     .note = options_.mode == LimitMode::kQuit
+                                 ? "grow->quit"
+                                 : "grow->capped"});
               }
               if (options_.mode == LimitMode::kQuit) {
                 quit = true;
@@ -81,16 +83,15 @@ Result<EvalResult> QuitContinueEvaluator::Evaluate(
         // LINT-HOT-LOOP-END
       }
     }
-    if (tracer != nullptr) {
-      tracer->EndTerm(qt.term, 0.0,
-                      result.postings_processed - postings_before);
-      tracer->Accumulators(accumulators.size());
+    if (obs::Span* record = term_span.record()) {
+      record->page_no = info.pages;
+      record->n = result.postings_processed - postings_before;
+      record->m = accumulators.size();
     }
   }
 
   result.top_docs = SelectTopN(accumulators, *index_, options_.top_n);
   result.accumulators = accumulators.size();
-  if (tracer != nullptr) tracer->EndQuery(0.0, result.accumulators);
   return result;
 }
 

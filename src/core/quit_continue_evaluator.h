@@ -34,10 +34,11 @@ struct QuitContinueOptions {
   size_t accumulator_limit = 5000;
   LimitMode mode = LimitMode::kContinue;
   uint32_t top_n = 20;
-  /// Optional structured event tracer (obs layer): term begin/end,
-  /// grow->capped / grow->quit phase transitions and accumulator growth.
-  /// Not owned; nullptr = untraced (no behavior change either way).
-  obs::QueryTracer* tracer = nullptr;
+  /// Optional query record (obs/span.h): a kTermLoop span per term
+  /// (list length, postings, accumulator-set size after it) and the
+  /// one grow->capped / grow->quit kPhase instant. Not owned; nullptr =
+  /// untraced (no behavior change either way).
+  obs::SpanRecorder* span_recorder = nullptr;
 };
 
 /// Evaluates vector-space queries under a hard accumulator budget.

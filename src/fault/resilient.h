@@ -45,9 +45,9 @@ struct ResilienceOptions {
   bool sleep_on_backoff = true;
 };
 
-/// Per-call accounting, for callers that tag retries into a
-/// QueryTracer (which is not thread-shared, so the reader cannot own
-/// it).
+/// Per-call accounting, for callers that record retries and breaker
+/// rejections (the pool's kMissRead span attributes; the reader is
+/// shared by every thread, so it keeps no per-call record itself).
 struct ReadOutcome {
   /// Read attempts made (>= 1 unless the breaker rejected).
   uint32_t attempts = 0;

@@ -19,14 +19,14 @@ Result<SequenceRunResult> RunRefinementSequence(
   eval.top_n = options.top_n;
   eval.buffer_aware = options.buffer_aware;
   eval.record_trace = false;
-  eval.tracer = options.tracer;
+  eval.span_recorder = options.span_recorder;
   core::FilteringEvaluator evaluator(&index, eval);
 
   serve::ConcurrentPoolOptions pool_options =
       serve::PoolOptions(options.buffer_pages, options.policy);
   pool_options.resilience = options.resilience;
+  pool_options.span_recorder = options.span_recorder;
   serve::ConcurrentBufferPool buffers(&index.disk(), pool_options);
-  buffers.SetTracer(options.tracer);
   if (options.metrics != nullptr) {
     buffers.BindMetrics(options.metrics);
     index.disk().BindMetrics(options.metrics);
@@ -37,8 +37,9 @@ Result<SequenceRunResult> RunRefinementSequence(
   for (size_t step_index = 0; step_index < sequence.steps.size();
        ++step_index) {
     const workload::RefinementStep& step = sequence.steps[step_index];
-    if (options.tracer != nullptr) {
-      options.tracer->BeginStep(static_cast<uint32_t>(step_index));
+    if (options.span_recorder != nullptr) {
+      options.span_recorder->SetCurrentQuery(
+          static_cast<uint32_t>(step_index));
     }
     const buffer::BufferStats pool_before = buffers.StatsSnapshot();
     core::EvalControl control;
@@ -84,6 +85,9 @@ Result<SequenceRunResult> RunRefinementSequence(
     result.mean_avg_precision =
         precision_sum / static_cast<double>(result.steps.size());
   }
+  if (options.span_recorder != nullptr) {
+    options.span_recorder->SetCurrentQuery(obs::SpanRecorder::kNoQuery);
+  }
   // The pool dies with this run; leave the registry with final counts but
   // no dangling bindings.
   if (options.metrics != nullptr) index.disk().BindMetrics(nullptr);
@@ -93,7 +97,11 @@ Result<SequenceRunResult> RunRefinementSequence(
 std::string SequenceTelemetryJson(const std::string& label,
                                   const SequenceRunOptions& options,
                                   const SequenceRunResult& result,
-                                  const obs::QueryTracer* tracer) {
+                                  const obs::SpanRecorder* span_recorder) {
+  const std::vector<obs::ThreadSpans> snapshot =
+      span_recorder != nullptr ? span_recorder->Snapshot()
+                               : std::vector<obs::ThreadSpans>{};
+  const std::vector<obs::Span> timeline = obs::MergedTimeline(snapshot);
   obs::JsonWriter w;
   w.BeginObject();
   w.Key("label").Str(label);
@@ -128,33 +136,29 @@ std::string SequenceTelemetryJson(const std::string& label,
       w.Key("quality_bound").Num(sr.quality_bound);
       w.Key("deadline_hit").Bool(sr.deadline_hit);
     }
-    if (tracer != nullptr) {
+    if (span_recorder != nullptr) {
       const uint32_t step = static_cast<uint32_t>(i);
       w.Key("smax_trajectory").BeginArray();
-      for (double s : tracer->SmaxTrajectory(step)) w.Num(s);
+      for (double smax : obs::SmaxTrajectory(snapshot, step)) w.Num(smax);
       w.EndArray();
       w.Key("phase_transitions").BeginArray();
-      for (const obs::TraceEvent& e : tracer->events()) {
-        if (e.step != step || e.kind != obs::TraceEventKind::kPhase) {
-          continue;
-        }
+      for (const obs::Span& s : timeline) {
+        if (s.query != step || s.stage != obs::SpanStage::kPhase) continue;
         w.BeginObject();
-        w.Key("term").UInt(e.term);
-        w.Key("transition").Str(e.phase != nullptr ? e.phase : "");
+        w.Key("term").UInt(s.term);
+        w.Key("transition").Str(s.note != nullptr ? s.note : "");
         w.EndObject();
       }
       w.EndArray();
       w.Key("eviction_events").BeginArray();
-      for (const obs::TraceEvent& e : tracer->events()) {
-        if (e.step != step || e.kind != obs::TraceEventKind::kEvict) {
-          continue;
-        }
+      for (const obs::Span& s : timeline) {
+        if (s.query != step || s.stage != obs::SpanStage::kEvict) continue;
         w.BeginObject();
-        w.Key("term").UInt(e.term);
-        w.Key("page").UInt(e.page_no);
-        w.Key("max_weight").Num(e.a);
-        w.Key("value").Num(e.b);
-        w.Key("age").UInt(e.n);
+        w.Key("term").UInt(s.term);
+        w.Key("page").UInt(s.page_no);
+        w.Key("max_weight").Num(s.a);
+        w.Key("value").Num(s.b);
+        w.Key("age").UInt(s.n);
         w.EndObject();
       }
       w.EndArray();
@@ -169,16 +173,17 @@ std::string SequenceTelemetryJson(const std::string& label,
 Result<core::EvalResult> RunColdQuery(const index::InvertedIndex& index,
                                       const core::Query& query,
                                       const core::EvalOptions& eval,
-                                      buffer::PolicyKind policy,
-                                      obs::QueryTracer* tracer) {
+                                      buffer::PolicyKind policy) {
   uint64_t pages = std::max<uint64_t>(1, TotalQueryPages(index, query));
-  serve::ConcurrentBufferPool buffers(&index.disk(),
-                                      serve::PoolOptions(pages, policy));
-  buffers.SetTracer(tracer);
-  core::EvalOptions traced_eval = eval;
-  traced_eval.tracer = tracer;
-  core::FilteringEvaluator evaluator(&index, traced_eval);
-  return evaluator.Evaluate(query, &buffers);
+  serve::ConcurrentPoolOptions pool_options = serve::PoolOptions(pages, policy);
+  pool_options.span_recorder = eval.span_recorder;
+  serve::ConcurrentBufferPool buffers(&index.disk(), pool_options);
+  core::FilteringEvaluator evaluator(&index, eval);
+  obs::SpanRecorder* const spans = eval.span_recorder;
+  if (spans != nullptr) spans->SetCurrentQuery(0);
+  Result<core::EvalResult> result = evaluator.Evaluate(query, &buffers);
+  if (spans != nullptr) spans->SetCurrentQuery(obs::SpanRecorder::kNoQuery);
+  return result;
 }
 
 uint64_t TotalQueryPages(const index::InvertedIndex& index,

@@ -16,7 +16,7 @@
 #include "fault/resilient.h"
 #include "index/inverted_index.h"
 #include "obs/metrics.h"
-#include "obs/query_tracer.h"
+#include "obs/span.h"
 #include "util/status.h"
 #include "workload/refinement.h"
 
@@ -34,11 +34,12 @@ struct SequenceRunOptions {
   double c_add = 0.002;
   uint32_t top_n = 20;
   /// Optional observability hooks (not owned; must outlive the run).
-  /// `tracer` receives the full event timeline, tagged per refinement
-  /// step via BeginStep; `metrics` is bound to the run's buffer pool and
-  /// the index's disk for the duration of the run. Neither changes any
-  /// result or counter.
-  obs::QueryTracer* tracer = nullptr;
+  /// `span_recorder` receives the query record of the evaluator and the
+  /// pool, each step's records tagged with the step index as their
+  /// query; `metrics` is bound to the run's buffer pool and the index's
+  /// disk for the duration of the run. Neither changes any result or
+  /// counter.
+  obs::SpanRecorder* span_recorder = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   /// Retry/backoff + circuit breaker installed on the run's buffer pool
   /// (the chaos harness and the CLI's --fault-spec runs turn this on).
@@ -93,22 +94,22 @@ Result<SequenceRunResult> RunRefinementSequence(
 /// Renders one run's telemetry as a single JSON object: configuration,
 /// totals, and per step disk reads, hit rate, eviction count, the s_max
 /// trajectory and phase-transition / eviction events (the latter only
-/// when the run was traced — pass the same tracer given to the run, or
-/// nullptr for counters-only output). `label` names the run.
+/// when the run was traced — pass the same recorder given to the run,
+/// or nullptr for counters-only output). `label` names the run.
 std::string SequenceTelemetryJson(const std::string& label,
                                   const SequenceRunOptions& options,
                                   const SequenceRunResult& result,
-                                  const obs::QueryTracer* tracer);
+                                  const obs::SpanRecorder* span_recorder);
 
 /// Runs one query on a cold pool sized so no replacement ever happens
-/// (the single-query setting of Section 5.1.1). A non-null `tracer` is
-/// installed on both the evaluator and the pool for the run.
+/// (the single-query setting of Section 5.1.1). A non-null
+/// `eval.span_recorder` records the evaluator and the pool, tagged as
+/// query 0.
 Result<core::EvalResult> RunColdQuery(const index::InvertedIndex& index,
                                       const core::Query& query,
                                       const core::EvalOptions& eval,
                                       buffer::PolicyKind policy =
-                                          buffer::PolicyKind::kLru,
-                                      obs::QueryTracer* tracer = nullptr);
+                                          buffer::PolicyKind::kLru);
 
 /// Total pages of the inverted lists of `query`'s terms (the x-axis of
 /// the paper's Figure 3).

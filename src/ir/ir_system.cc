@@ -2,12 +2,23 @@
 
 namespace irbuf::ir {
 
+namespace {
+
+serve::ConcurrentPoolOptions SystemPoolOptions(
+    const IrSystemOptions& options) {
+  serve::ConcurrentPoolOptions pool =
+      serve::PoolOptions(options.buffer_pages, options.policy);
+  pool.span_recorder = options.eval.span_recorder;
+  return pool;
+}
+
+}  // namespace
+
 IrSystem::IrSystem(const index::InvertedIndex* index, IrSystemOptions options)
     : index_(index),
       options_(options),
       buffers_(std::make_unique<serve::ConcurrentBufferPool>(
-          &index->disk(),
-          serve::PoolOptions(options.buffer_pages, options.policy))),
+          &index->disk(), SystemPoolOptions(options))),
       evaluator_(index, options.eval) {}
 
 Result<core::EvalResult> IrSystem::Search(const core::Query& query) {
@@ -17,16 +28,6 @@ Result<core::EvalResult> IrSystem::Search(const core::Query& query) {
 Result<core::EvalResult> IrSystem::Search(
     const std::string& text, const text::AnalysisPipeline& pipeline) {
   return Search(core::Query::Parse(text, pipeline, index_->lexicon()));
-}
-
-void IrSystem::SetTracer(obs::QueryTracer* tracer) {
-  buffers_->SetTracer(tracer);
-  // The evaluator carries its options by value; rebuild it with the
-  // tracer installed (construction is cheap — two pointers).
-  core::EvalOptions eval = options_.eval;
-  eval.tracer = tracer;
-  options_.eval = eval;
-  evaluator_ = core::FilteringEvaluator(index_, eval);
 }
 
 void IrSystem::BindMetrics(obs::MetricsRegistry* registry) {

@@ -21,7 +21,6 @@
 #include "core/query.h"
 #include "index/inverted_index.h"
 #include "obs/metrics.h"
-#include "obs/query_tracer.h"
 #include "serve/concurrent_buffer_pool.h"
 #include "text/pipeline.h"
 #include "util/status.h"
@@ -34,7 +33,9 @@ struct IrSystemOptions {
   size_t buffer_pages = 100;
   /// Replacement policy.
   buffer::PolicyKind policy = buffer::PolicyKind::kLru;
-  /// Evaluator tuning (DF vs BAF, thresholds, answer size).
+  /// Evaluator tuning (DF vs BAF, thresholds, answer size). A non-null
+  /// eval.span_recorder records the buffer pool as well, so one record
+  /// carries evaluation and fetch/eviction activity.
   core::EvalOptions eval;
 };
 
@@ -54,11 +55,6 @@ class IrSystem {
 
   /// Empties the buffer pool (the paper does this between sequences).
   void FlushBuffers() { buffers_->Flush(); }
-
-  /// Installs (or clears, with nullptr) a tracer on both the evaluator
-  /// and the buffer pool, so one timeline carries evaluation events and
-  /// fetch/eviction events. Tracing never changes results.
-  void SetTracer(obs::QueryTracer* tracer);
 
   /// Binds the system's buffer pool and disk to `registry` (see
   /// ConcurrentBufferPool::BindMetrics / SimulatedDisk::BindMetrics);

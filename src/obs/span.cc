@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "metrics/run_stats.h"
+#include "util/str.h"
 
 namespace irbuf::obs {
 namespace {
@@ -42,6 +43,10 @@ const char* SpanStageName(SpanStage stage) {
     case SpanStage::kLockWait:        return "lock_wait";
     case SpanStage::kPrefetchIssue:   return "prefetch_issue";
     case SpanStage::kAsyncWait:       return "async_wait";
+    case SpanStage::kPhase:           return "phase";
+    case SpanStage::kSmax:            return "smax";
+    case SpanStage::kEvict:           return "evict";
+    case SpanStage::kPageLost:        return "page_lost";
   }
   return "unknown";
 }
@@ -69,6 +74,16 @@ void SpanRecorder::RecordManual(SpanStage stage, uint64_t start_ns,
   MutexLock lock(buffer->mu);
   buffer->spans.push_back(Span{start_ns, dur_ns, query, term, stage,
                                static_cast<uint8_t>(buffer->depth)});
+}
+
+void SpanRecorder::RecordInstant(Span record) {
+  ThreadBuffer* buffer = BufferForThisThread();
+  record.start_ns = MonotonicNowNs();
+  record.dur_ns = 0;
+  record.query = buffer->current_query;
+  record.depth = static_cast<uint8_t>(buffer->depth);
+  MutexLock lock(buffer->mu);
+  buffer->spans.push_back(record);
 }
 
 void SpanRecorder::RecordLockWait(uint64_t wait_ns) {
@@ -105,6 +120,123 @@ void SpanRecorder::Clear() {
   }
 }
 
+namespace {
+
+/// Kinds whose `term` is meaningful. Decided by kind, not by value:
+/// term 0 is a valid TermId.
+bool IsTermScoped(SpanStage stage) {
+  switch (stage) {
+    case SpanStage::kQueueWait:
+    case SpanStage::kContextSnapshot:
+    case SpanStage::kEvaluate:
+    case SpanStage::kTopKMerge:
+    case SpanStage::kShardMerge:
+    case SpanStage::kLockWait:
+      return false;
+    default:
+      return true;
+  }
+}
+
+bool IsPageScoped(SpanStage stage) {
+  switch (stage) {
+    case SpanStage::kPagePin:
+    case SpanStage::kMissRead:
+    case SpanStage::kPrefetchIssue:
+    case SpanStage::kEvict:
+    case SpanStage::kPageLost:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// One named attribute of a record, typed for both exports.
+struct Attribute {
+  enum class Type { kNum, kUInt, kBool, kStr };
+  const char* key;
+  Type type;
+  double num = 0.0;
+  uint64_t uint = 0;
+  const char* str = nullptr;
+};
+
+Attribute Num(const char* key, double v) {
+  return {key, Attribute::Type::kNum, v};
+}
+Attribute UInt(const char* key, uint64_t v) {
+  return {key, Attribute::Type::kUInt, 0.0, v};
+}
+Attribute Bool(const char* key, bool v) {
+  return {key, Attribute::Type::kBool, 0.0, v ? 1u : 0u};
+}
+Attribute Str(const char* key, const char* v) {
+  return {key, Attribute::Type::kStr, 0.0, 0, v != nullptr ? v : ""};
+}
+
+/// The record's term/page scope and kind-specific attributes, in the
+/// order both exports print them (see SpanStage for the meanings).
+std::vector<Attribute> AttributesOf(const Span& s) {
+  std::vector<Attribute> out;
+  if (IsTermScoped(s.stage)) out.push_back(UInt("term", s.term));
+  if (IsPageScoped(s.stage)) out.push_back(UInt("page", s.page_no));
+  switch (s.stage) {
+    case SpanStage::kTermLoop:
+      out.push_back(Num("f_ins", s.a));
+      out.push_back(Num("f_add", s.b));
+      out.push_back(UInt("pages", s.page_no));
+      out.push_back(Num("smax", s.c));
+      out.push_back(UInt("postings", s.n));
+      out.push_back(UInt("accumulators", s.m));
+      out.push_back(Bool("skipped", s.hit));
+      break;
+    case SpanStage::kPagePin:
+      out.push_back(Bool("hit", s.hit));
+      break;
+    case SpanStage::kMissRead:
+    case SpanStage::kPrefetchIssue:
+      out.push_back(UInt("attempts", s.n));
+      out.push_back(Bool("ok", s.hit));
+      if (s.note != nullptr) out.push_back(Str("note", s.note));
+      break;
+    case SpanStage::kPhase:
+      out.push_back(Str("transition", s.note));
+      break;
+    case SpanStage::kSmax:
+      out.push_back(Num("before", s.a));
+      out.push_back(Num("after", s.b));
+      break;
+    case SpanStage::kEvict:
+      out.push_back(Num("max_weight", s.a));
+      out.push_back(Num("value", s.b));
+      out.push_back(UInt("age", s.n));
+      break;
+    case SpanStage::kPageLost:
+      out.push_back(Num("bound", s.a));
+      break;
+    default:
+      break;
+  }
+  return out;
+}
+
+/// Appends the record's query (when attributed) and attributes as keys
+/// of the JSON object the writer is positioned in.
+void AppendRecordKeys(const Span& s, JsonWriter& w) {
+  if (s.query != SpanRecorder::kNoQuery) w.Key("query").UInt(s.query);
+  for (const Attribute& attr : AttributesOf(s)) {
+    w.Key(attr.key);
+    switch (attr.type) {
+      case Attribute::Type::kNum: w.Num(attr.num); break;
+      case Attribute::Type::kUInt: w.UInt(attr.uint); break;
+      case Attribute::Type::kBool: w.Bool(attr.uint != 0); break;
+      case Attribute::Type::kStr: w.Str(attr.str); break;
+    }
+  }
+}
+
+}  // namespace
+
 std::string ToChromeTraceJson(const std::vector<ThreadSpans>& threads) {
   JsonWriter w;
   w.BeginObject();
@@ -112,17 +244,21 @@ std::string ToChromeTraceJson(const std::vector<ThreadSpans>& threads) {
   w.Key("traceEvents").BeginArray();
   for (const ThreadSpans& ts : threads) {
     for (const Span& s : ts.spans) {
+      const bool instant = IsInstant(s.stage);
       w.BeginObject();
       w.Key("name").Str(SpanStageName(s.stage));
       w.Key("cat").Str("irbuf");
-      w.Key("ph").Str("X");
+      w.Key("ph").Str(instant ? "i" : "X");
       w.Key("ts").Num(static_cast<double>(s.start_ns) / 1000.0);
-      w.Key("dur").Num(static_cast<double>(s.dur_ns) / 1000.0);
+      if (instant) {
+        w.Key("s").Str("t");  // Thread-scoped instant.
+      } else {
+        w.Key("dur").Num(static_cast<double>(s.dur_ns) / 1000.0);
+      }
       w.Key("pid").UInt(1);
       w.Key("tid").UInt(ts.tid);
       w.Key("args").BeginObject();
-      if (s.query != SpanRecorder::kNoQuery) w.Key("query").UInt(s.query);
-      if (s.term != 0) w.Key("term").UInt(s.term);
+      AppendRecordKeys(s, w);
       w.EndObject();
       w.EndObject();
     }
@@ -130,6 +266,82 @@ std::string ToChromeTraceJson(const std::vector<ThreadSpans>& threads) {
   w.EndArray();
   w.EndObject();
   return std::move(w).Take();
+}
+
+std::vector<Span> MergedTimeline(const std::vector<ThreadSpans>& threads) {
+  std::vector<Span> out;
+  for (const ThreadSpans& ts : threads) {
+    out.insert(out.end(), ts.spans.begin(), ts.spans.end());
+  }
+  // A span is pushed when it closes, after the records it contains;
+  // ordering by (start, depth) puts it back in front of them.
+  std::stable_sort(out.begin(), out.end(), [](const Span& x, const Span& y) {
+    if (x.start_ns != y.start_ns) return x.start_ns < y.start_ns;
+    return x.depth < y.depth;
+  });
+  return out;
+}
+
+std::string ToJson(const std::vector<ThreadSpans>& threads) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("records").BeginArray();
+  for (const Span& s : MergedTimeline(threads)) {
+    w.BeginObject();
+    w.Key("kind").Str(SpanStageName(s.stage));
+    AppendRecordKeys(s, w);
+    if (!IsInstant(s.stage)) {
+      w.Key("dur_us").Num(static_cast<double>(s.dur_ns) / 1000.0);
+    }
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  return std::move(w).Take();
+}
+
+std::string DumpText(const std::vector<ThreadSpans>& threads) {
+  std::string out;
+  for (const Span& s : MergedTimeline(threads)) {
+    out += s.query == SpanRecorder::kNoQuery
+               ? std::string("[-]")
+               : StrFormat("[%u]", s.query);
+    out += StrFormat(" %-12s", SpanStageName(s.stage));
+    for (const Attribute& attr : AttributesOf(s)) {
+      switch (attr.type) {
+        case Attribute::Type::kNum:
+          out += StrFormat(" %s=%.3f", attr.key, attr.num);
+          break;
+        case Attribute::Type::kUInt:
+          out += StrFormat(" %s=%llu", attr.key,
+                           static_cast<unsigned long long>(attr.uint));
+          break;
+        case Attribute::Type::kBool:
+          out += StrFormat(" %s=%s", attr.key,
+                           attr.uint != 0 ? "true" : "false");
+          break;
+        case Attribute::Type::kStr:
+          out += StrFormat(" %s=%s", attr.key, attr.str);
+          break;
+      }
+    }
+    if (!IsInstant(s.stage)) {
+      out += StrFormat(" dur=%.1fus", static_cast<double>(s.dur_ns) / 1000.0);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+std::vector<double> SmaxTrajectory(const std::vector<ThreadSpans>& threads,
+                                   uint32_t query) {
+  std::vector<double> trajectory;
+  for (const Span& s : MergedTimeline(threads)) {
+    if (s.stage == SpanStage::kTermLoop && s.query == query && !s.hit) {
+      trajectory.push_back(s.c);
+    }
+  }
+  return trajectory;
 }
 
 SpanAttribution ComputeAttribution(const std::vector<ThreadSpans>& threads) {
@@ -147,6 +359,8 @@ SpanAttribution ComputeAttribution(const std::vector<ThreadSpans>& threads) {
     for (const Span& s : ts.spans) {
       const size_t stage = static_cast<size_t>(s.stage);
       attr.stages[stage].spans++;
+      // Instants mark a point, not an interval: no time, no wall.
+      if (IsInstant(s.stage)) continue;
       attr.stages[stage].total_ns += s.dur_ns;
       if (s.query == SpanRecorder::kNoQuery) continue;
       PerQuery& q = queries[s.query];

@@ -86,6 +86,10 @@ ConcurrentBufferPool::~ConcurrentBufferPool() {
 }
 
 Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
+  // kPagePin covers the whole fetch: stripe lookup, policy latch, and
+  // (on a miss) the nested kMissRead. Only here is hit or miss known.
+  obs::ScopedSpan pin_span(options_.span_recorder, obs::SpanStage::kPagePin,
+                           id.term, id.page_no);
   const uint64_t key = id.Pack();
   Stripe& stripe = StripeFor(key);
   buffer::FrameId hit_frame = buffer::kInvalidFrame;
@@ -132,10 +136,8 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
         id.term);
   }
 
-  if (tracer_ != nullptr) {
-    tracer_->Fetch(id.term, id.page_no, hit_frame != buffer::kInvalidFrame);
-  }
   if (hit_frame != buffer::kInvalidFrame) {
+    if (obs::Span* record = pin_span.record()) record->hit = true;
     fetches_.fetch_add(1, std::memory_order_relaxed);
     hits_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_.fetches != nullptr) {
@@ -261,21 +263,18 @@ Status ConcurrentBufferPool::ExecuteLoad(PageId id, Frame& frame,
   // included), the simulated device delay and the decode — which is
   // what the attribution table should charge a miss (or a readahead
   // slot) with.
+  obs::ScopedSpan load_span(options_.span_recorder,
+                            prefetch ? obs::SpanStage::kPrefetchIssue
+                                     : obs::SpanStage::kMissRead,
+                            id.term, id.page_no);
   fault::ReadOutcome outcome;
-  const Status status = [&] {
-    obs::ScopedSpan load_span(options_.span_recorder,
-                              prefetch ? obs::SpanStage::kPrefetchIssue
-                                       : obs::SpanStage::kMissRead,
-                              id.term);
-    return resilient_ != nullptr ? resilient_->Read(id, read_once, &outcome)
-                                 : read_once();
-  }();
-  if (tracer_ != nullptr && resilient_ != nullptr && !prefetch) {
-    if (outcome.rejected_by_breaker) {
-      tracer_->Breaker(id.term, id.page_no, "rejected");
-    } else if (outcome.attempts > 1) {
-      tracer_->Retry(id.term, id.page_no, outcome.attempts, status.ok());
-    }
+  const Status status = resilient_ != nullptr
+                            ? resilient_->Read(id, read_once, &outcome)
+                            : read_once();
+  if (obs::Span* record = load_span.record()) {
+    record->hit = status.ok();
+    record->n = resilient_ != nullptr ? outcome.attempts : 1;
+    if (outcome.rejected_by_breaker) record->note = "rejected";
   }
   if (status.ok()) {
     device_reads_.fetch_add(1, std::memory_order_relaxed);
@@ -297,7 +296,8 @@ void ConcurrentBufferPool::ReleaseFailedLoad(uint64_t key,
 
 void ConcurrentBufferPool::ObserveEvictionLocked(buffer::FrameId frame,
                                                  bool policy_victim) {
-  if (tracer_ == nullptr && !eviction_observer_ &&
+  obs::SpanRecorder* const spans = options_.span_recorder;
+  if (spans == nullptr && !eviction_observer_ &&
       metrics_.victim_age == nullptr) {
     return;
   }
@@ -311,9 +311,13 @@ void ConcurrentBufferPool::ObserveEvictionLocked(buffer::FrameId frame,
                  : ev.max_weight * context_->WeightOf(ev.page.term);
   ev.age_fetches = fetch_tick_ - f.insert_tick;
   ev.policy_victim = policy_victim;
-  if (tracer_ != nullptr) {
-    tracer_->Evict(ev.page.term, ev.page.page_no, ev.max_weight, ev.value,
-                   ev.age_fetches);
+  if (spans != nullptr) {
+    spans->RecordInstant({.term = ev.page.term,
+                          .stage = obs::SpanStage::kEvict,
+                          .page_no = ev.page.page_no,
+                          .a = ev.max_weight,
+                          .b = ev.value,
+                          .n = ev.age_fetches});
   }
   if (obs::Histogram* victim_age = metrics_.victim_age) {
     victim_age->Observe(static_cast<double>(ev.age_fetches));
@@ -593,13 +597,6 @@ void ConcurrentBufferPool::Unpin(uint32_t frame) {
         frames_[frame].pins.fetch_sub(1, std::memory_order_release);
     buffer::contracts::CheckPinRelease(before);
   }
-}
-
-void ConcurrentBufferPool::SetTracer(obs::QueryTracer* tracer) {
-  IRBUF_DCHECK(tracer == nullptr || options_.prefetch_depth == 0,
-               "QueryTracer is single-threaded; readahead workers would "
-               "record into it concurrently");
-  tracer_ = tracer;
 }
 
 void ConcurrentBufferPool::Flush() {

@@ -114,7 +114,6 @@
 #include "buffer/replacement_policy.h"
 #include "fault/resilient.h"
 #include "obs/metrics.h"
-#include "obs/query_tracer.h"
 #include "obs/span.h"
 #include "storage/page.h"
 #include "storage/simulated_disk.h"
@@ -153,11 +152,15 @@ struct ConcurrentPoolOptions {
   /// reads share the same ResilientReader, so their failures feed the
   /// same breaker a demand read would.
   fault::ResilienceOptions resilience;
-  /// Span recorder for the miss path (a kMissRead span around the disk
-  /// read + simulated device delay on the loading worker's thread; a
-  /// kPrefetchIssue span around each readahead load on the I/O worker's
-  /// thread; a kAsyncWait span on a fetch that blocked joining an
-  /// in-flight load). nullptr = tracing off, one null-test per miss.
+  /// Span recorder (obs/span.h): a kPagePin span around every demand
+  /// fetch, tagged with its page and hit flag; a kMissRead span around
+  /// the disk read + simulated device delay on the loading thread, with
+  /// its attempts and any breaker rejection; a kPrefetchIssue span
+  /// around each readahead load on the I/O worker's thread; a kAsyncWait
+  /// span on a fetch that blocked joining an in-flight load; and a
+  /// kEvict instant with the victim's metadata on whichever thread
+  /// evicted. Recording is per thread, so readahead may stay on. Not
+  /// owned; nullptr = tracing off, one null test per site.
   obs::SpanRecorder* span_recorder = nullptr;
   /// Measure lock-contention waits on the pool-wide policy latch and
   /// the page-table stripes (see LatchWaitStats/StripeWaitStats). Off
@@ -298,14 +301,6 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
     eviction_observer_ = std::move(observer);
   }
 
-  /// Installs (or clears, with nullptr) the per-query tracer: every
-  /// demand fetch is recorded tagged hit/miss, every eviction with its
-  /// victim metadata, and every miss that needed a retry or met an open
-  /// breaker. QueryTracer is single-threaded, so install it only on a
-  /// pool with readahead off that one thread drives, and only while the
-  /// pool is quiescent; the tracer must outlive its installation.
-  void SetTracer(obs::QueryTracer* tracer);
-
   /// Drops every page (the paper flushes buffers between refinement
   /// sequences and between independent queries), prefetch-tagged frames
   /// included, and resets the policy and every b_t. Counters are left
@@ -440,9 +435,9 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   // BufferPool:
   void Unpin(uint32_t frame) override;
 
-  /// Delivers `frame`'s victim metadata to the tracer, the victim-age
-  /// histogram and the eviction observer (whichever are installed),
-  /// while the frame still holds the victim.
+  /// Delivers `frame`'s victim metadata to the span recorder, the
+  /// victim-age histogram and the eviction observer (whichever are
+  /// installed), while the frame still holds the victim.
   void ObserveEvictionLocked(buffer::FrameId frame, bool policy_victim)
       IRBUF_REQUIRES(latch_mu_);
 
@@ -528,10 +523,6 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   /// readahead_bound_. Frames leave on promotion or reclaim.
   std::deque<buffer::FrameId> prefetch_window_ IRBUF_GUARDED_BY(latch_mu_);
   EvictionObserver eviction_observer_ IRBUF_GUARDED_BY(latch_mu_);
-  /// Set only while quiescent (see SetTracer); read on the fetch path
-  /// and under the latch.
-  obs::QueryTracer* tracer_ = nullptr;
-
   std::vector<Frame> frames_;
   std::vector<std::atomic<uint32_t>> term_resident_;
   std::atomic<bool> external_context_{false};

@@ -152,11 +152,9 @@ ShardedEngine::ShardedEngine(const ShardedIndex* index,
       options_(Normalize(std::move(options))),
       pool_(index, options_.pool) {
   const size_t num_shards = index_->num_shards();
-  core::EvalOptions eval = options_.eval;
-  eval.tracer = nullptr;
   evaluators_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    evaluators_.emplace_back(&index_->shard(s), eval);
+    evaluators_.emplace_back(&index_->shard(s), options_.eval);
   }
   if (options_.shared_context) {
     contexts_.reserve(num_shards);

@@ -100,9 +100,10 @@ class ShardLanes {
 /// Configuration of a ShardedEngine.
 struct ShardedEngineOptions {
   /// Evaluator tuning, shared by every shard evaluator. buffer_aware
-  /// selects DF vs BAF for the COORDINATOR's term ordering; tracer is
-  /// ignored (per-shard tracer events would interleave meaninglessly);
-  /// span_recorder is wired through shards, pools and disks.
+  /// selects DF vs BAF for the COORDINATOR's term ordering;
+  /// span_recorder is wired through shards, pools and disks, so each
+  /// shard's term records and instants land on the lane thread that
+  /// stepped it, tagged with the query.
   core::EvalOptions eval;
   /// Per-shard pool construction (total budget, policy, miss delay,
   /// resilience). pool.span_recorder defaults to eval.span_recorder

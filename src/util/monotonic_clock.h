@@ -1,8 +1,8 @@
 // The one monotonic nanosecond clock the instrumentation layers share:
-// span timing (obs/span.h), lock-contention measurement (util/mutex.h)
-// and the serving path's latency accounting all read MonotonicNowNs so
-// their timestamps live on a single timebase and a Chrome trace built
-// from them lines up. fault::MonotonicNowUs remains the coarser
+// the query record (obs/span.h: spans and the instants between them),
+// lock-contention measurement (util/mutex.h) and the serving path's
+// latency accounting all read MonotonicNowNs so their timestamps live on
+// a single timebase and a Chrome trace built from them lines up. fault::MonotonicNowUs remains the coarser
 // microsecond view used by deadlines and backoff schedules.
 //
 // Hot-path discipline: timing reads are only ever taken behind an

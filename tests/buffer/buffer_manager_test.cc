@@ -1,14 +1,14 @@
 // The buffer manager's single-threaded contract, exercised on the one
 // pool (serve::ConcurrentBufferPool) the simulator and the server share:
 // hit/miss accounting, eviction, b_t counters, flush, the eviction
-// observer and the tracer hook.
+// observer and the span recorder's fetch and eviction records.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "buffer/lru_policy.h"
-#include "obs/query_tracer.h"
+#include "obs/span.h"
 #include "serve/concurrent_buffer_pool.h"
 #include "test_disk.h"
 
@@ -16,6 +16,7 @@ namespace irbuf::buffer {
 namespace {
 
 using serve::ConcurrentBufferPool;
+using serve::ConcurrentPoolOptions;
 using serve::PoolOptions;
 
 TEST(BufferManagerTest, HitAndMissAccounting) {
@@ -169,28 +170,43 @@ TEST(BufferManagerTest, EvictionCallbackSeesVictimMetadata) {
   EXPECT_EQ(events.size(), 1u);
 }
 
+/// Records of `stage` in `recorder`'s snapshot.
+std::vector<obs::Span> RecordsOf(const obs::SpanRecorder& recorder,
+                                 obs::SpanStage stage) {
+  std::vector<obs::Span> out;
+  for (const obs::Span& s : obs::MergedTimeline(recorder.Snapshot())) {
+    if (s.stage == stage) out.push_back(s);
+  }
+  return out;
+}
+
 TEST(BufferManagerTest, TracerRecordsFetchesAndEvictions) {
   auto disk = MakeTestDisk({3});
-  ConcurrentBufferPool bm(disk.get(), PoolOptions(2));
-  obs::QueryTracer tracer;
-  bm.SetTracer(&tracer);
+  obs::SpanRecorder recorder;
+  ConcurrentPoolOptions options = PoolOptions(2);
+  options.span_recorder = &recorder;
+  ConcurrentBufferPool bm(disk.get(), options);
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // miss
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 0}).ok());  // hit
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 1}).ok());  // miss
   ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());  // miss + evict
 
-  EXPECT_EQ(tracer.CountKind(obs::TraceEventKind::kFetch), 4u);
-  EXPECT_EQ(tracer.CountKind(obs::TraceEventKind::kEvict), 1u);
+  const std::vector<obs::Span> pins =
+      RecordsOf(recorder, obs::SpanStage::kPagePin);
+  EXPECT_EQ(pins.size(), 4u);
+  EXPECT_EQ(RecordsOf(recorder, obs::SpanStage::kEvict).size(), 1u);
+  EXPECT_EQ(RecordsOf(recorder, obs::SpanStage::kMissRead).size(), 3u);
   size_t hits = 0;
-  for (const obs::TraceEvent& e : tracer.events()) {
-    if (e.kind == obs::TraceEventKind::kFetch && e.hit) ++hits;
+  for (const obs::Span& s : pins) {
+    if (s.hit) ++hits;
   }
   EXPECT_EQ(hits, 1u);
+  EXPECT_EQ(pins[3].page_no, 2u);
 
-  // Uninstalling stops recording.
-  bm.SetTracer(nullptr);
-  ASSERT_TRUE(bm.FetchPinned(PageId{0, 2}).ok());
-  EXPECT_EQ(tracer.CountKind(obs::TraceEventKind::kFetch), 4u);
+  // A pool without a recorder records nothing into it.
+  ConcurrentBufferPool untraced(disk.get(), PoolOptions(2));
+  ASSERT_TRUE(untraced.FetchPinned(PageId{0, 2}).ok());
+  EXPECT_EQ(RecordsOf(recorder, obs::SpanStage::kPagePin).size(), 4u);
 }
 
 TEST(BufferManagerTest, FetchPinnedProtectsThePageFromEviction) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/query_tracer.h"
+#include "obs/span.h"
 
 #include "test_index.h"
 
@@ -129,7 +129,7 @@ TEST(QuitContinueTest, WorksOnDocumentOrderedIndexes) {
 
 // Regression pin for the one-shot grow->quit / grow->capped trace
 // event: the limit_hit latch in QuitContinueEvaluator::Evaluate keeps
-// the tracer's Phase push_back off the steady-state posting path (it
+// the recorder's kPhase push_back off the steady-state posting path (it
 // is the justification for the analyzer's allow(hot-alloc-ast)
 // exemption there). At most ONE kPhase event may fire per query, no
 // matter how many postings hit the budget check.
@@ -138,18 +138,20 @@ TEST(QuitContinueTest, BudgetPhaseTraceFiresAtMostOncePerQuery) {
   Query q;
   for (TermId t = 0; t < 8; ++t) q.AddTerm(t);
   for (LimitMode mode : {LimitMode::kQuit, LimitMode::kContinue}) {
-    obs::QueryTracer tracer;
+    obs::SpanRecorder recorder;
     QuitContinueOptions options;
     options.accumulator_limit = 10;  // hit early and often
     options.mode = mode;
-    options.tracer = &tracer;
+    options.span_recorder = &recorder;
     QuitContinueEvaluator evaluator(&tc.index, options);
     auto pool = MakeBigPool(tc);
     ASSERT_TRUE(evaluator.Evaluate(q, &pool).ok());
-    auto phase_count = [&tracer] {
+    auto phase_count = [&recorder] {
       size_t n = 0;
-      for (const obs::TraceEvent& e : tracer.events()) {
-        if (e.kind == obs::TraceEventKind::kPhase) ++n;
+      for (const obs::ThreadSpans& ts : recorder.Snapshot()) {
+        for (const obs::Span& s : ts.spans) {
+          if (s.stage == obs::SpanStage::kPhase) ++n;
+        }
       }
       return n;
     };

@@ -24,7 +24,7 @@
 #include "core/filtering_evaluator.h"
 #include "fault/backoff.h"
 #include "fault/fault_injector.h"
-#include "obs/query_tracer.h"
+#include "obs/span.h"
 #include "serve/concurrent_buffer_pool.h"
 #include "serve/query_server.h"
 
@@ -206,9 +206,9 @@ TEST(ChaosDegradationTest, FullyBadTermDegradesToRemainingTerms) {
   fault::FaultInjector injector(spec);
   tc.index.disk().SetFaultInjector(&injector);
 
-  obs::QueryTracer tracer;
+  obs::SpanRecorder recorder;
   core::EvalOptions traced = eval;
-  traced.tracer = &tracer;
+  traced.span_recorder = &recorder;
   serve::ConcurrentBufferPool pool(&tc.index.disk(), ResilientPool(16));
   core::FilteringEvaluator evaluator(&tc.index, traced);
   auto degraded = evaluator.Evaluate(full, &pool);
@@ -234,15 +234,15 @@ TEST(ChaosDegradationTest, FullyBadTermDegradesToRemainingTerms) {
                 1e-9);
   }
 
-  // The tracer saw one page_lost event per lost page, and the bounds it
-  // recorded sum to the result's quality bound.
+  // The recorder saw one page_lost instant per lost page, and the
+  // bounds it recorded sum to the result's quality bound.
   uint32_t lost_events = 0;
   double bound_sum = 0.0;
-  for (const obs::TraceEvent& e : tracer.events()) {
-    if (e.kind != obs::TraceEventKind::kPageLost) continue;
+  for (const obs::Span& s : obs::MergedTimeline(recorder.Snapshot())) {
+    if (s.stage != obs::SpanStage::kPageLost) continue;
     ++lost_events;
-    EXPECT_EQ(e.term, 0u);
-    bound_sum += e.a;
+    EXPECT_EQ(s.term, 0u);
+    bound_sum += s.a;
   }
   EXPECT_EQ(lost_events, degraded.value().pages_lost);
   EXPECT_NEAR(bound_sum, degraded.value().quality_bound, 1e-9);

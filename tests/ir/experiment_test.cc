@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "../core/test_index.h"
 #include "fault/fault_injector.h"
-#include "obs/query_tracer.h"
+#include "obs/span.h"
 #include "workload/refinement.h"
 
 namespace irbuf::ir {
@@ -115,12 +117,21 @@ TEST_F(ExperimentTest, ColdQueryIsReproducible) {
 }
 
 // ---- Fault events in the trace: the pool tags retries and breaker
-// rejections into the run's timeline. ----
+// rejections onto the run's kMissRead records. ----
 
-SequenceRunOptions TracedResilientRun(obs::QueryTracer* tracer) {
+/// The demand miss reads `recorder` saw, in start order.
+std::vector<obs::Span> MissReads(const obs::SpanRecorder& recorder) {
+  std::vector<obs::Span> out;
+  for (const obs::Span& s : obs::MergedTimeline(recorder.Snapshot())) {
+    if (s.stage == obs::SpanStage::kMissRead) out.push_back(s);
+  }
+  return out;
+}
+
+SequenceRunOptions TracedResilientRun(obs::SpanRecorder* recorder) {
   SequenceRunOptions options;
   options.buffer_pages = 8;
-  options.tracer = tracer;
+  options.span_recorder = recorder;
   options.resilience.enabled = true;
   options.resilience.sleep_on_backoff = false;  // Drawn, not slept.
   return options;
@@ -135,22 +146,24 @@ TEST_F(ExperimentTest, TraceRecordsRecoveredRetry) {
   spec.rules.push_back(transient);
   fault::FaultInjector injector(spec);
   tc_->index.disk().SetFaultInjector(&injector);
-  obs::QueryTracer tracer;
+  obs::SpanRecorder recorder;
   auto result = RunRefinementSequence(tc_->index, sequence_, {},
-                                      TracedResilientRun(&tracer));
+                                      TracedResilientRun(&recorder));
   tc_->index.disk().SetFaultInjector(nullptr);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().degraded_steps, 0u);
 
   size_t retries = 0;
-  for (const obs::TraceEvent& e : tracer.events()) {
-    if (e.kind != obs::TraceEventKind::kRetry) continue;
+  size_t rejected = 0;
+  for (const obs::Span& s : MissReads(recorder)) {
+    if (s.note != nullptr) ++rejected;
+    if (s.n < 2) continue;
     ++retries;
-    EXPECT_TRUE(e.hit);     // Recovered.
-    EXPECT_EQ(e.n, 2u);     // One failed attempt, one good one.
+    EXPECT_TRUE(s.hit);     // Recovered.
+    EXPECT_EQ(s.n, 2u);     // One failed attempt, one good one.
   }
   EXPECT_EQ(retries, 1u);
-  EXPECT_EQ(tracer.CountKind(obs::TraceEventKind::kBreaker), 0u);
+  EXPECT_EQ(rejected, 0u);
 }
 
 TEST_F(ExperimentTest, TraceRecordsBreakerRejections) {
@@ -161,8 +174,8 @@ TEST_F(ExperimentTest, TraceRecordsBreakerRejections) {
   spec.rules.push_back({fault::FaultKind::kTransientRead, 1.0});
   fault::FaultInjector injector(spec);
   tc_->index.disk().SetFaultInjector(&injector);
-  obs::QueryTracer tracer;
-  SequenceRunOptions options = TracedResilientRun(&tracer);
+  obs::SpanRecorder recorder;
+  SequenceRunOptions options = TracedResilientRun(&recorder);
   options.resilience.breaker.open_cooldown_us = 600'000'000;  // Stays open.
   auto result = RunRefinementSequence(tc_->index, sequence_, {}, options);
   tc_->index.disk().SetFaultInjector(nullptr);
@@ -170,18 +183,18 @@ TEST_F(ExperimentTest, TraceRecordsBreakerRejections) {
   EXPECT_GT(result.value().total_pages_lost, 0u);
 
   size_t rejected = 0;
-  for (const obs::TraceEvent& e : tracer.events()) {
-    if (e.kind != obs::TraceEventKind::kBreaker) continue;
-    ASSERT_NE(e.phase, nullptr);
-    EXPECT_STREQ(e.phase, "rejected");
-    ++rejected;
+  size_t exhausted = 0;
+  for (const obs::Span& s : MissReads(recorder)) {
+    if (s.note != nullptr) {
+      EXPECT_STREQ(s.note, "rejected");
+      EXPECT_FALSE(s.hit);
+      ++rejected;
+    } else if (s.n >= 2 && !s.hit) {
+      // Reads made before the trip exhausted their retries unrecovered.
+      ++exhausted;
+    }
   }
   EXPECT_GT(rejected, 0u);
-  // Reads made before the trip exhausted their retries unrecovered.
-  size_t exhausted = 0;
-  for (const obs::TraceEvent& e : tracer.events()) {
-    if (e.kind == obs::TraceEventKind::kRetry && !e.hit) ++exhausted;
-  }
   EXPECT_GT(exhausted, 0u);
 }
 

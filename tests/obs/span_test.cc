@@ -225,6 +225,50 @@ TEST(ChromeTraceTest, OmitsNoQueryAndZeroTermArgs) {
   const std::string json = ToChromeTraceJson(threads);
   EXPECT_EQ(json.find("\"query\""), std::string::npos);
   EXPECT_EQ(json.find("\"term\""), std::string::npos);
+
+  // Whether `term` is emitted is decided by kind, not by value: term 0
+  // is a valid TermId, so a term loop over term 0 keeps it.
+  threads[0].spans = {Span{0, 10, 2, 0, SpanStage::kTermLoop, 0}};
+  const std::string term0 = ToChromeTraceJson(threads);
+  EXPECT_NE(term0.find("\"term\":0"), std::string::npos) << term0;
+  EXPECT_NE(term0.find("\"query\":2"), std::string::npos) << term0;
+}
+
+TEST(ChromeTraceTest, InstantsAreThreadScopedInstantEvents) {
+  std::vector<ThreadSpans> threads(1);
+  threads[0].tid = 1;
+  threads[0].spans = {Span{.start_ns = 3000, .query = 4, .term = 6,
+                           .stage = SpanStage::kEvict, .page_no = 2,
+                           .a = 1.5, .b = 3.0, .n = 7}};
+  const std::string json = ToChromeTraceJson(threads);
+  EXPECT_NE(json.find("\"name\":\"evict\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"s\":\"t\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"dur\""), std::string::npos) << json;
+  for (const char* key : {"\"term\":6", "\"page\":2", "\"max_weight\":1.5",
+                          "\"value\":3", "\"age\":7"}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
+  }
+}
+
+TEST(ComputeAttributionTest, InstantsAreCountedButCarryNoTime) {
+  std::vector<ThreadSpans> threads = TwoQuerySnapshot();
+  const SpanAttribution before = ComputeAttribution(threads);
+  threads[0].spans.push_back(Span{.start_ns = 200000, .query = 1, .term = 5,
+                                  .stage = SpanStage::kSmax, .depth = 2,
+                                  .a = 1.0, .b = 2.0});
+  threads[1].spans.push_back(Span{.start_ns = 60000, .query = 3,
+                                  .stage = SpanStage::kEvict});
+  const SpanAttribution after = ComputeAttribution(threads);
+  // An instant tagged with an unseen query mints no query, and the
+  // walls are unchanged.
+  EXPECT_EQ(after.queries, before.queries);
+  EXPECT_EQ(after.wall_p50_us, before.wall_p50_us);
+  EXPECT_EQ(after.wall_p99_us, before.wall_p99_us);
+  const auto& smax = after.stages[static_cast<size_t>(SpanStage::kSmax)];
+  EXPECT_EQ(smax.spans, 1u);
+  EXPECT_EQ(smax.total_ns, 0u);
+  EXPECT_EQ(smax.p99_share, 0.0);
 }
 
 TEST(MutexWaitJsonTest, HistogramPairsSkipEmptyBuckets) {
@@ -278,6 +322,52 @@ TEST(SpanStageNameTest, AllStagesNamed) {
   for (size_t i = 0; i < kNumSpanStages; ++i) {
     EXPECT_STRNE(SpanStageName(static_cast<SpanStage>(i)), "unknown");
   }
+}
+
+TEST(SpanStageNameTest, TimedStagesPrecedeTheFourInstants) {
+  for (size_t i = 0; i < kNumSpanStages; ++i) {
+    EXPECT_EQ(IsInstant(static_cast<SpanStage>(i)), i >= kNumTimedStages)
+        << SpanStageName(static_cast<SpanStage>(i));
+  }
+  EXPECT_EQ(kNumSpanStages - kNumTimedStages, 4u);
+  EXPECT_STREQ(SpanStageName(SpanStage::kPageLost), "page_lost");
+}
+
+TEST(SpanRecorderTest, InstantTakesThreadQueryAndDepth) {
+  SpanRecorder recorder;
+  recorder.SetCurrentQuery(5);
+  {
+    ScopedSpan outer(&recorder, SpanStage::kTermLoop, 3);
+    recorder.RecordInstant({.start_ns = 99, .dur_ns = 99, .query = 1,
+                            .term = 3, .stage = SpanStage::kPhase,
+                            .note = "ins->add"});
+  }
+  recorder.SetCurrentQuery(SpanRecorder::kNoQuery);
+  const std::vector<ThreadSpans> snapshot = recorder.Snapshot();
+  ASSERT_EQ(snapshot.size(), 1u);
+  ASSERT_EQ(snapshot[0].spans.size(), 2u);
+  const Span& instant = snapshot[0].spans[0];
+  EXPECT_EQ(instant.stage, SpanStage::kPhase);
+  EXPECT_EQ(instant.dur_ns, 0u);     // Always a point...
+  EXPECT_NE(instant.start_ns, 99u);  // ...stamped when recorded...
+  EXPECT_EQ(instant.query, 5u);      // ...with the thread's query...
+  EXPECT_EQ(instant.depth, 1);       // ...and depth.
+  EXPECT_STREQ(instant.note, "ins->add");
+}
+
+TEST(ScopedSpanTest, RecordIsNullWhenDisabled) {
+  ScopedSpan off(nullptr, SpanStage::kPagePin, 1, 2);
+  EXPECT_EQ(off.record(), nullptr);
+  SpanRecorder recorder;
+  {
+    ScopedSpan on(&recorder, SpanStage::kPagePin, 1, 2);
+    ASSERT_NE(on.record(), nullptr);
+    on.record()->hit = true;
+  }
+  const std::vector<ThreadSpans> snapshot = recorder.Snapshot();
+  ASSERT_EQ(snapshot[0].spans.size(), 1u);
+  EXPECT_EQ(snapshot[0].spans[0].page_no, 2u);
+  EXPECT_TRUE(snapshot[0].spans[0].hit);
 }
 
 }  // namespace

@@ -74,3 +74,58 @@ class Table {
   Mutex mu_;
   Mutex aux_;
 };
+
+// Virtual dispatch: a call through an interface pointer resolves to the
+// overrides in the interface's subclasses, never to an unrelated
+// class's method that merely shares the name.
+class Sink {
+ public:
+  virtual ~Sink() = default;
+  virtual void Drain() = 0;
+  virtual void Reset() = 0;
+};
+
+class Owner {
+ public:
+  // Positive: Owner::mu_ -> LockedSink::mu_ through the Drain override,
+  // while LockedSink::Report takes them the other way round.
+  void Flush() {
+    MutexLock lock(mu_);
+    sink_->Drain();
+  }
+  // Negative: Reset dispatches to Sink's subclasses only, so no edge to
+  // Registry::mu_ (whose Export holds it while taking Owner::mu_).
+  void Clear() {
+    MutexLock lock(mu_);
+    sink_->Reset();
+  }
+  void Touch() { MutexLock lock(mu_); }
+
+  Mutex mu_;
+  Sink* sink_ = nullptr;
+};
+
+class LockedSink : public Sink {
+ public:
+  void Drain() override { MutexLock lock(mu_); }
+  void Reset() override {}
+  void Report() {
+    MutexLock lock(mu_);
+    owner_->Touch();  // ANALYZE-EXPECT: lock-cycle
+  }
+
+  Mutex mu_;
+  Owner* owner_ = nullptr;
+};
+
+class Registry {
+ public:
+  void Reset() { MutexLock lock(mu_); }
+  void Export() {
+    MutexLock lock(mu_);
+    owner_->Touch();
+  }
+
+  Mutex mu_;
+  Owner* owner_ = nullptr;
+};

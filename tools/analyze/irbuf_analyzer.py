@@ -292,6 +292,9 @@ class FileModel:
         self.members: Dict[str, Dict[str, str]] = {}
         # (class qual name, member name) -> guarding mutex expr text
         self.guarded: Dict[Tuple[str, str], str] = {}
+        # class qual name -> its direct base classes (last name segment);
+        # every class defined in the file has an entry, possibly empty.
+        self.bases: Dict[str, List[str]] = {}
         self.allow: Dict[int, Set[str]] = {}      # line -> allowed checks
         self.amortized_lines: Set[int] = set()    # `amortized-alloc` lines
         self.hot_regions: List[Tuple[int, int]] = []  # [start, end) lines
@@ -318,6 +321,9 @@ class Program:
         self.guarded: Dict[Tuple[str, str], str] = {}
         # class qual name -> path of the file that declared its members.
         self.class_origin: Dict[str, str] = {}
+        # class last name segment -> direct bases (last segments), for
+        # every class the tree defines.
+        self.bases: Dict[str, Set[str]] = {}
 
     def add_file(self, fm: FileModel):
         self.files[fm.path] = fm
@@ -330,10 +336,36 @@ class Program:
                 self.requires_decls.setdefault(qn, []).extend(reqs)
         for cls, mem in fm.members.items():
             self.members.setdefault(cls, {}).update(mem)
+        for cls, bases in fm.bases.items():
+            self.bases.setdefault(cls.split("::")[-1], set()).update(bases)
         for fn in fm.functions:
             self.functions.append(fn)
             self.by_name.setdefault(fn.name, []).append(fn)
             self.by_qual[fn.qual_name] = fn
+
+    def dispatch_classes(self, cls: str) -> Optional[Set[str]]:
+        """Classes a call on a `cls` receiver can land in: `cls`, its
+        subclasses (virtual overrides) and its bases (inherited bodies).
+        None when the tree neither defines nor derives from `cls`."""
+        if cls not in self.bases and \
+                not any(cls in b for b in self.bases.values()):
+            return None
+        out = {cls}
+        todo = [cls]
+        while todo:  # bases, transitively
+            for b in self.bases.get(todo.pop(), ()):
+                if b not in out:
+                    out.add(b)
+                    todo.append(b)
+        down = {cls}
+        grew = True
+        while grew:  # subclasses, transitively
+            grew = False
+            for sub, bases in self.bases.items():
+                if sub not in down and bases & down:
+                    down.add(sub)
+                    grew = True
+        return out | down
 
     def finish(self):
         for fn in self.functions:
@@ -379,6 +411,37 @@ def _skip_balanced(toks: List[Tok], i: int, open_c: str, close_c: str) -> int:
                 return i + 1
         i += 1
     return n
+
+
+def _base_names(toks: List[Tok], lo: int, hi: int) -> List[str]:
+    """Base classes of a class head toks[lo:hi] (the tokens between the
+    class name and its '{'): the last name segment of each base
+    specifier, template arguments skipped."""
+    i = lo
+    while i < hi and toks[i].text != ":":
+        i += 1
+    out: List[str] = []
+    last: Optional[str] = None
+    depth = 0
+    for t in toks[i + 1:hi]:
+        if t.text == "<":
+            depth += 1
+        elif t.text == ">":
+            depth -= 1
+        elif t.text == ">>":
+            depth -= 2
+        elif depth > 0:
+            continue
+        elif t.text == ",":
+            if last:
+                out.append(last)
+            last = None
+        elif t.kind == "id" and t.text not in ("public", "private",
+                                                "protected", "virtual"):
+            last = t.text
+    if last:
+        out.append(last)
+    return out
 
 
 def _collect_text(toks: List[Tok], lo: int, hi: int) -> List[str]:
@@ -484,6 +547,8 @@ class InternalParser:
                     j += 1
                 if j < hi and toks[j].text == "{":
                     end = _skip_balanced(toks, j, "{", "}")
+                    self.fm.bases["::".join(cls + [name])] = \
+                        _base_names(toks, ni + 1, j)
                     self._parse_class_body(j + 1, end - 1, ns,
                                            cls + [name])
                     i = end
@@ -563,6 +628,8 @@ class InternalParser:
                     if j < hi and toks[j].text == "{":
                         end = _skip_balanced(toks, j, "{", "}")
                         if name:
+                            self.fm.bases["::".join(cls + [name])] = \
+                                _base_names(toks, ni + 1, j)
                             self._parse_class_body(j + 1, end - 1, ns,
                                                    cls + [name])
                         # struct members may declare a variable after '}'
@@ -1592,8 +1659,14 @@ def resolve_callees(prog: Program, site: CallSite) -> List[Function]:
             return exact
         if site.name in GENERIC_METHOD_NAMES:
             return []      # a std container / accessor, not repo code
-        # virtual dispatch through an interface the receiver names:
-        # fall through to all candidates (conservative union).
+        # Virtual dispatch through an interface the receiver names: an
+        # override in one of its subclasses, or a body inherited from a
+        # base — never an unrelated class's same-named method.
+        related = prog.dispatch_classes(last)
+        if related is not None:
+            return [c for c in cands
+                    if c.cls and c.cls.split("::")[-1] in related]
+        # A receiver class the tree does not define: conservative union.
         return cands
     if site.recv and site.name in GENERIC_METHOD_NAMES:
         return []          # x.size() etc. with unresolved receiver
@@ -2339,9 +2412,13 @@ class ClangAstConverter:
                        "CXXConstructorDecl", "CXXDestructorDecl",
                        "FunctionDecl"):
                 self._walk_decl(ch, ns, cls)
-        if members and self._wanted(path):
+        if self._wanted(path):
             fm = self._model(path)
-            fm.members.setdefault(qual_cls, {}).update(members)
+            fm.bases[qual_cls] = [
+                _type_last_segment((b.get("type") or {}).get("qualType", ""))
+                for b in node.get("bases", [])]
+            if members:
+                fm.members.setdefault(qual_cls, {}).update(members)
 
     def _function(self, node: dict, ns: List[str], cls: List[str]):
         path, line = self._loc(node)
@@ -2497,6 +2574,11 @@ class ClangAstConverter:
             return
         for ch in node.get("inner", []):
             self._expr(fn, ch, depth, collect=collect)
+
+
+def _type_last_segment(qual_type: str) -> str:
+    """'buffer::BufferPool' -> 'BufferPool'; template arguments dropped."""
+    return qual_type.split("<", 1)[0].strip().split("::")[-1]
 
 
 def _collect_json_names(node: dict, out: List[str]):
