@@ -99,8 +99,7 @@ FaultRun RunOnce(const corpus::SyntheticCorpus& corpus,
                  result.status().ToString().c_str());
     std::exit(1);
   }
-  const obs::Counter* rc = registry.FindCounter("fault.retries");
-  out.retries = rc != nullptr ? rc->value() : 0;
+  out.retries = registry.CounterValue("fault.retries").value_or(0);
   out.disk_reads = result.value().total_disk_reads;
   out.injected = injector.total_injected();
   out.degraded_steps = result.value().degraded_steps;

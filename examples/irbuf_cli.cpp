@@ -740,11 +740,10 @@ int Serve(const corpus::SyntheticCorpus& corpus, const Args& args,
     }
     std::printf("%s", shard_table.ToString().c_str());
   }
+  auto counter = [&](const std::string& name) -> unsigned long long {
+    return registry.CounterValue(name).value_or(0);
+  };
   if (injector != nullptr || options.deadline_us > 0) {
-    auto counter = [&](const char* name) -> unsigned long long {
-      const obs::Counter* c = registry.FindCounter(name);
-      return c != nullptr ? static_cast<unsigned long long>(c->value()) : 0;
-    };
     std::printf("resilience   : %llu retries (%llu recovered), "
                 "%llu corrupted reads, %llu breaker trips, "
                 "%llu degraded, %llu deadline-cut\n",
@@ -756,8 +755,8 @@ int Serve(const corpus::SyntheticCorpus& corpus, const Args& args,
       unsigned long long trips = 0;
       unsigned long long rejects = 0;
       for (size_t s = 0; s < engine->num_shards(); ++s) {
-        trips += counter(StrFormat("shard%zu.breaker.trips", s).c_str());
-        rejects += counter(StrFormat("shard%zu.breaker.rejects", s).c_str());
+        trips += counter(StrFormat("shard%zu.breaker.trips", s));
+        rejects += counter(StrFormat("shard%zu.breaker.rejects", s));
       }
       std::printf("shards       : %llu forfeited mid-query, "
                   "%llu breaker trips, %llu fail-fast rejects\n",
@@ -765,10 +764,6 @@ int Serve(const corpus::SyntheticCorpus& corpus, const Args& args,
     }
   }
   if (args.overload) {
-    auto counter = [&](const char* name) -> unsigned long long {
-      const obs::Counter* c = registry.FindCounter(name);
-      return c != nullptr ? static_cast<unsigned long long>(c->value()) : 0;
-    };
     // The admission/queued split: bounces never entered the queue,
     // sheds did but had no budget left at pickup; neither is in the
     // latency percentiles above.

@@ -25,9 +25,8 @@ CircuitBreaker::CircuitBreaker(BreakerOptions options, ClockFn clock)
 
 void CircuitBreaker::TransitionTo(BreakerState next, uint64_t now_us) {
   if (next == BreakerState::kOpen) {
-    ++trips_;
+    trips_.fetch_add(1, std::memory_order_relaxed);
     opened_at_us_ = now_us;
-    if (trips_metric_ != nullptr) trips_metric_->Add(1);
   }
   if (next == BreakerState::kHalfOpen || next == BreakerState::kClosed) {
     half_open_streak_ = 0;
@@ -58,8 +57,7 @@ bool CircuitBreaker::AllowRequest() {
       // One probe at a time: losers fail fast instead of piling onto a
       // device that is still likely down.
       if (probe_in_flight_) {
-        ++rejects_;
-        if (rejects_metric_ != nullptr) rejects_metric_->Add(1);
+        rejects_.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
       probe_in_flight_ = true;
@@ -71,8 +69,7 @@ bool CircuitBreaker::AllowRequest() {
         probe_in_flight_ = true;  // The promoting caller is the probe.
         return true;
       }
-      ++rejects_;
-      if (rejects_metric_ != nullptr) rejects_metric_->Add(1);
+      rejects_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
   }
@@ -123,22 +120,6 @@ void CircuitBreaker::RecordFailure() {
 BreakerState CircuitBreaker::state() const {
   MutexLock lock(mu_);
   return state_;
-}
-
-uint64_t CircuitBreaker::trips() const {
-  MutexLock lock(mu_);
-  return trips_;
-}
-
-uint64_t CircuitBreaker::rejects() const {
-  MutexLock lock(mu_);
-  return rejects_;
-}
-
-void CircuitBreaker::BindMetrics(obs::Counter* trips, obs::Counter* rejects) {
-  MutexLock lock(mu_);
-  trips_metric_ = trips;
-  rejects_metric_ = rejects;
 }
 
 }  // namespace irbuf::fault

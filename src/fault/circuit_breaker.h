@@ -26,11 +26,11 @@
 #ifndef IRBUF_FAULT_CIRCUIT_BREAKER_H_
 #define IRBUF_FAULT_CIRCUIT_BREAKER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -80,14 +80,12 @@ class CircuitBreaker {
 
   BreakerState state() const;
   /// Times the breaker transitioned closed/half-open -> open.
-  uint64_t trips() const;
+  uint64_t trips() const { return trips_.load(std::memory_order_relaxed); }
   /// Requests rejected while open.
-  uint64_t rejects() const;
+  uint64_t rejects() const {
+    return rejects_.load(std::memory_order_relaxed);
+  }
 
-  /// Counter handles bumped at trip/reject time (under the breaker's
-  /// own mutex, so the metric and the internal count never diverge).
-  /// Either may be null.
-  void BindMetrics(obs::Counter* trips, obs::Counter* rejects);
 
  private:
   void TransitionTo(BreakerState next, uint64_t now_us)
@@ -109,10 +107,10 @@ class CircuitBreaker {
   /// Half-open probe slot: set by the AllowRequest winner, cleared by
   /// its Record* (or by leaving half-open).
   bool probe_in_flight_ IRBUF_GUARDED_BY(mu_) = false;
-  uint64_t trips_ IRBUF_GUARDED_BY(mu_) = 0;
-  uint64_t rejects_ IRBUF_GUARDED_BY(mu_) = 0;
-  obs::Counter* trips_metric_ IRBUF_GUARDED_BY(mu_) = nullptr;
-  obs::Counter* rejects_metric_ IRBUF_GUARDED_BY(mu_) = nullptr;
+  /// Bumped under mu_, read lock-free: the owners' metric collectors
+  /// read them without taking mu_.
+  std::atomic<uint64_t> trips_{0};
+  std::atomic<uint64_t> rejects_{0};
 };
 
 }  // namespace irbuf::fault

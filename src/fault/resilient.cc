@@ -27,26 +27,17 @@ ResilientReader::ResilientReader(ResilienceOptions options,
 
 void ResilientReader::BindMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) {
-    metrics_ = MetricHandles{};
-    if (breaker_) breaker_->BindMetrics(nullptr, nullptr);
+    counters_.Unbind();
     return;
   }
-  metrics_.retries = registry->AddCounter(
-      "fault.retries", "read attempts repeated after a retryable error");
-  metrics_.retry_success = registry->AddCounter(
-      "fault.retry_success", "reads that succeeded on a retry attempt");
-  metrics_.retries_exhausted = registry->AddCounter(
-      "fault.retries_exhausted",
-      "reads that failed after the full backoff schedule");
-  metrics_.corrupted_reads = registry->AddCounter(
-      "fault.corrupted_reads", "read attempts failing checksum verification");
-  metrics_.breaker_trips = registry->AddCounter(
-      "fault.breaker_trips", "circuit-breaker transitions to open");
-  metrics_.breaker_rejects = registry->AddCounter(
-      "fault.breaker_rejects", "reads rejected fail-fast by an open breaker");
-  if (breaker_) {
-    breaker_->BindMetrics(metrics_.breaker_trips, metrics_.breaker_rejects);
-  }
+  counters_ = registry->BindSource([this](const obs::Emit& emit) {
+    emit("fault.retries", total_retries());
+    emit("fault.retry_success", retry_successes());
+    emit("fault.retries_exhausted", retries_exhausted());
+    emit("fault.corrupted_reads", corrupted_reads());
+    emit("fault.breaker_trips", breaker_ ? breaker_->trips() : 0);
+    emit("fault.breaker_rejects", breaker_ ? breaker_->rejects() : 0);
+  });
 }
 
 Status ResilientReader::Read(PageId id, const ReadFn& read,
@@ -70,30 +61,21 @@ Status ResilientReader::Read(PageId id, const ReadFn& read,
     if (status.ok()) break;
     if (status.code() == StatusCode::kCorrupted) {
       corrupted_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_.corrupted_reads != nullptr) {
-        metrics_.corrupted_reads->Add(1);
-      }
     }
     if (!StatusCodeIsRetryable(status.code()) || !backoff.CanRetry()) break;
     const uint64_t delay_us = backoff.NextDelayUs();
     if (outcome != nullptr) outcome->backoff_us += delay_us;
     if (options_.sleep_on_backoff) SleepUs(delay_us);
     retries_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.retries != nullptr) metrics_.retries->Add(1);
   }
   if (outcome != nullptr) outcome->attempts = attempts;
   if (status.ok()) {
-    if (attempts > 1 && metrics_.retry_success != nullptr) {
-      metrics_.retry_success->Add(1);
-    }
+    if (attempts > 1) retry_success_.fetch_add(1, std::memory_order_relaxed);
     if (breaker_) breaker_->RecordSuccess();
     return status;
   }
   if (StatusCodeIsRetryable(status.code())) {
     exhausted_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.retries_exhausted != nullptr) {
-      metrics_.retries_exhausted->Add(1);
-    }
   }
   if (breaker_) breaker_->RecordFailure();
   return status;

@@ -5,7 +5,7 @@
 //   1. a circuit-breaker gate (fail fast while the device is down),
 //   2. bounded retry with exponential backoff + jitter for retryable
 //      codes (kUnavailable, kCorrupted — see StatusCodeIsRetryable),
-//   3. metric accounting (fault.retries, fault.retry_success, ...).
+//   3. retry, recovery and corruption counts (exported as fault.*).
 //
 // Disabled (the default) it is a single pass-through call with zero
 // added branches on the read result path, which is what keeps p=0 runs
@@ -74,10 +74,10 @@ class ResilientReader {
   Status Read(PageId id, const ReadFn& read,
               ReadOutcome* outcome = nullptr);
 
-  /// Resolves metric handles (fault.retries, fault.retry_success,
-  /// fault.retries_exhausted, fault.corrupted_reads,
-  /// fault.breaker_trips, fault.breaker_rejects). Pass nullptr to
-  /// unbind.
+  /// Exports the counts to `registry`, read at export time: fault.retries,
+  /// fault.retry_success, fault.retries_exhausted, fault.corrupted_reads
+  /// and the breaker's fault.breaker_trips / fault.breaker_rejects (0
+  /// without a breaker). Pass nullptr to unbind.
   void BindMetrics(obs::MetricsRegistry* registry);
 
   bool enabled() const { return options_.enabled; }
@@ -87,6 +87,10 @@ class ResilientReader {
 
   uint64_t total_retries() const {
     return retries_.load(std::memory_order_relaxed);
+  }
+  /// Reads that succeeded on a retry attempt.
+  uint64_t retry_successes() const {
+    return retry_success_.load(std::memory_order_relaxed);
   }
   uint64_t retries_exhausted() const {
     return exhausted_.load(std::memory_order_relaxed);
@@ -100,19 +104,13 @@ class ResilientReader {
   std::unique_ptr<CircuitBreaker> breaker_;
 
   std::atomic<uint64_t> retries_{0};
+  std::atomic<uint64_t> retry_success_{0};
   std::atomic<uint64_t> exhausted_{0};
   std::atomic<uint64_t> corrupted_{0};
   std::atomic<uint64_t> call_tick_{0};
 
-  struct MetricHandles {
-    obs::Counter* retries = nullptr;
-    obs::Counter* retry_success = nullptr;
-    obs::Counter* retries_exhausted = nullptr;
-    obs::Counter* corrupted_reads = nullptr;
-    obs::Counter* breaker_trips = nullptr;
-    obs::Counter* breaker_rejects = nullptr;
-  };
-  MetricHandles metrics_;
+  /// The fault.* counters' registration (BindMetrics).
+  obs::SourceBinding counters_;
 };
 
 }  // namespace irbuf::fault

@@ -1,8 +1,13 @@
 #include "obs/metrics.h"
 
+#include <utility>
+
 #include "metrics/run_stats.h"
 #include "obs/json.h"
+#include "util/dcheck.h"
+#include "util/mutex.h"
 #include "util/str.h"
+#include "util/thread_annotations.h"
 
 namespace irbuf::obs {
 
@@ -46,117 +51,214 @@ void Histogram::Reset() {
   sum_.store(0.0, std::memory_order_relaxed);
 }
 
-MetricsRegistry::Entry* MetricsRegistry::Find(std::string_view name) {
-  for (auto& e : entries_) {
-    if (e->name == name) return e.get();
+namespace internal {
+
+struct RegistryState {
+  struct Entry {
+    std::string name;
+    std::string help;
+    /// Null for a counter.
+    std::unique_ptr<Histogram> histogram;
+    /// A counter's count from the sources unbound since the last Reset.
+    uint64_t retained = 0;
+  };
+  /// A live source. slots[i] belongs to the i-th counter it emits: the
+  /// entry it feeds (kNone when a histogram owns the name) and its value
+  /// at the bind or the last Reset.
+  struct Source {
+    uint64_t id;
+    Collector collect;
+    std::vector<std::pair<size_t, uint64_t>> slots;
+  };
+  static constexpr size_t kNone = ~size_t{0};
+
+  size_t Find(std::string_view name) const IRBUF_REQUIRES(mu) {
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i]->name == name) return i;
+    }
+    return kNone;
   }
-  return nullptr;
+
+  /// `source`'s current values, one per slot.
+  static std::vector<uint64_t> Collect(const Source& source) {
+    std::vector<uint64_t> values;
+    source.collect(
+        [&](std::string_view, uint64_t value) { values.push_back(value); });
+    IRBUF_DCHECK(values.size() == source.slots.size(),
+                 "a counter source changed its counters after binding");
+    values.resize(source.slots.size());
+    return values;
+  }
+
+  /// Adds what `source` counted since its baselines to `totals`
+  /// (indexed by entry).
+  static void AddDeltas(const Source& source, std::vector<uint64_t>& totals) {
+    const std::vector<uint64_t> values = Collect(source);
+    for (size_t i = 0; i < values.size(); ++i) {
+      const auto [entry, baseline] = source.slots[i];
+      if (entry != kNone) totals[entry] += values[i] - baseline;
+    }
+  }
+
+  /// Every counter's exported value, indexed by entry.
+  std::vector<uint64_t> CounterTotals() const IRBUF_REQUIRES(mu) {
+    std::vector<uint64_t> totals;
+    for (const auto& e : entries) totals.push_back(e->retained);
+    for (const Source& source : sources) AddDeltas(source, totals);
+    return totals;
+  }
+
+  /// Folds source `id`'s last deltas into `retained` and drops it.
+  void Unbind(uint64_t id) IRBUF_EXCLUDES(mu) {
+    MutexLock lock(mu);
+    for (auto it = sources.begin(); it != sources.end(); ++it) {
+      if (it->id != id) continue;
+      std::vector<uint64_t> deltas(entries.size());
+      AddDeltas(*it, deltas);
+      for (size_t i = 0; i < deltas.size(); ++i) {
+        entries[i]->retained += deltas[i];
+      }
+      sources.erase(it);
+      return;
+    }
+  }
+
+  /// Guards everything below. Collectors run under it, so none runs
+  /// after its source's Unbind returns.
+  mutable Mutex mu;
+  /// Instruments in registration order; never removed, so indices and
+  /// histogram handles stay valid.
+  std::vector<std::unique_ptr<Entry>> entries IRBUF_GUARDED_BY(mu);
+  std::vector<Source> sources IRBUF_GUARDED_BY(mu);
+  uint64_t next_source_id IRBUF_GUARDED_BY(mu) = 1;
+};
+
+}  // namespace internal
+
+using internal::RegistryState;
+
+SourceBinding::SourceBinding(SourceBinding&& other) noexcept
+    : state_(std::move(other.state_)), id_(std::exchange(other.id_, 0)) {}
+
+SourceBinding& SourceBinding::operator=(SourceBinding&& other) noexcept {
+  if (this != &other) {
+    Unbind();
+    state_ = std::move(other.state_);
+    id_ = std::exchange(other.id_, 0);
+  }
+  return *this;
 }
 
-const MetricsRegistry::Entry* MetricsRegistry::Find(
-    std::string_view name) const {
-  for (const auto& e : entries_) {
-    if (e->name == name) return e.get();
+void SourceBinding::Unbind() {
+  if (std::shared_ptr<RegistryState> state = state_.lock()) {
+    state->Unbind(id_);
   }
-  return nullptr;
+  state_.reset();
+  id_ = 0;
 }
 
-Counter* MetricsRegistry::AddCounter(std::string name, std::string help) {
-  MutexLock lock(mu_);
-  if (Entry* e = Find(name)) {
-    return e->kind == Kind::kCounter ? e->counter.get() : nullptr;
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->name = std::move(name);
-  entry->help = std::move(help);
-  entry->kind = Kind::kCounter;
-  entry->counter = std::make_unique<Counter>();
-  Counter* handle = entry->counter.get();
-  entries_.push_back(std::move(entry));
-  return handle;
-}
+MetricsRegistry::MetricsRegistry()
+    : state_(std::make_shared<RegistryState>()) {}
 
-Gauge* MetricsRegistry::AddGauge(std::string name, std::string help) {
-  MutexLock lock(mu_);
-  if (Entry* e = Find(name)) {
-    return e->kind == Kind::kGauge ? e->gauge.get() : nullptr;
+SourceBinding MetricsRegistry::BindSource(Collector collect) {
+  RegistryState& st = *state_;
+  uint64_t id = 0;
+  {
+    MutexLock lock(st.mu);
+    std::vector<std::pair<std::string, uint64_t>> emitted;
+    collect([&](std::string_view name, uint64_t value) {
+      emitted.emplace_back(name, value);
+    });
+    id = st.next_source_id++;
+    RegistryState::Source source{id, std::move(collect), {}};
+    for (auto& [name, value] : emitted) {
+      size_t entry = st.Find(name);
+      if (entry == RegistryState::kNone) {
+        entry = st.entries.size();
+        st.entries.push_back(std::make_unique<RegistryState::Entry>());
+        st.entries.back()->name = std::move(name);
+      } else if (st.entries[entry]->histogram != nullptr) {
+        entry = RegistryState::kNone;
+      }
+      source.slots.emplace_back(entry, value);
+    }
+    st.sources.push_back(std::move(source));
   }
-  auto entry = std::make_unique<Entry>();
-  entry->name = std::move(name);
-  entry->help = std::move(help);
-  entry->kind = Kind::kGauge;
-  entry->gauge = std::make_unique<Gauge>();
-  Gauge* handle = entry->gauge.get();
-  entries_.push_back(std::move(entry));
-  return handle;
+  // Built outside the lock: a binding unbinds (locking) when destroyed.
+  return SourceBinding(state_, id);
 }
 
 Histogram* MetricsRegistry::AddHistogram(std::string name,
                                          std::vector<double> bounds,
                                          std::string help) {
-  MutexLock lock(mu_);
-  if (Entry* e = Find(name)) {
-    return e->kind == Kind::kHistogram ? e->histogram.get() : nullptr;
-  }
-  auto entry = std::make_unique<Entry>();
+  RegistryState& st = *state_;
+  MutexLock lock(st.mu);
+  const size_t i = st.Find(name);
+  if (i != RegistryState::kNone) return st.entries[i]->histogram.get();
+  auto entry = std::make_unique<RegistryState::Entry>();
   entry->name = std::move(name);
   entry->help = std::move(help);
-  entry->kind = Kind::kHistogram;
   entry->histogram = std::make_unique<Histogram>(std::move(bounds));
   Histogram* handle = entry->histogram.get();
-  entries_.push_back(std::move(entry));
+  st.entries.push_back(std::move(entry));
   return handle;
 }
 
-const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
-  MutexLock lock(mu_);
-  const Entry* e = Find(name);
-  return e != nullptr && e->kind == Kind::kCounter ? e->counter.get()
-                                                   : nullptr;
-}
-
-const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
-  MutexLock lock(mu_);
-  const Entry* e = Find(name);
-  return e != nullptr && e->kind == Kind::kGauge ? e->gauge.get() : nullptr;
-}
-
-const Histogram* MetricsRegistry::FindHistogram(
+std::optional<uint64_t> MetricsRegistry::CounterValue(
     std::string_view name) const {
-  MutexLock lock(mu_);
-  const Entry* e = Find(name);
-  return e != nullptr && e->kind == Kind::kHistogram ? e->histogram.get()
-                                                     : nullptr;
+  RegistryState& st = *state_;
+  MutexLock lock(st.mu);
+  const size_t i = st.Find(name);
+  if (i == RegistryState::kNone || st.entries[i]->histogram != nullptr) {
+    return std::nullopt;
+  }
+  return st.CounterTotals()[i];
+}
+
+const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
+  RegistryState& st = *state_;
+  MutexLock lock(st.mu);
+  const size_t i = st.Find(name);
+  return i == RegistryState::kNone ? nullptr : st.entries[i]->histogram.get();
 }
 
 void MetricsRegistry::Reset() {
-  MutexLock lock(mu_);
-  for (auto& e : entries_) {
-    switch (e->kind) {
-      case Kind::kCounter: e->counter->Reset(); break;
-      case Kind::kGauge: e->gauge->Reset(); break;
-      case Kind::kHistogram: e->histogram->Reset(); break;
+  RegistryState& st = *state_;
+  MutexLock lock(st.mu);
+  for (auto& e : st.entries) {
+    e->retained = 0;
+    if (Histogram* h = e->histogram.get()) h->Reset();
+  }
+  for (RegistryState::Source& source : st.sources) {
+    const std::vector<uint64_t> values = RegistryState::Collect(source);
+    for (size_t i = 0; i < values.size(); ++i) {
+      source.slots[i].second = values[i];
     }
   }
 }
 
+size_t MetricsRegistry::size() const {
+  const RegistryState& st = *state_;
+  MutexLock lock(st.mu);
+  return st.entries.size();
+}
+
 std::string MetricsRegistry::ToJson() const {
-  MutexLock lock(mu_);
+  const RegistryState& st = *state_;
+  MutexLock lock(st.mu);
+  const std::vector<uint64_t> totals = st.CounterTotals();
   JsonWriter w;
   w.BeginObject();
   w.Key("counters").BeginObject();
-  for (const auto& e : entries_) {
-    if (e->kind == Kind::kCounter) w.Key(e->name).UInt(e->counter->value());
-  }
-  w.EndObject();
-  w.Key("gauges").BeginObject();
-  for (const auto& e : entries_) {
-    if (e->kind == Kind::kGauge) w.Key(e->name).Num(e->gauge->value());
+  for (size_t i = 0; i < st.entries.size(); ++i) {
+    if (st.entries[i]->histogram == nullptr) {
+      w.Key(st.entries[i]->name).UInt(totals[i]);
+    }
   }
   w.EndObject();
   w.Key("histograms").BeginObject();
-  for (const auto& e : entries_) {
-    if (e->kind != Kind::kHistogram) continue;
+  for (const auto& e : st.entries) {
+    if (e->histogram == nullptr) continue;
     const Histogram& h = *e->histogram;
     w.Key(e->name).BeginObject();
     w.Key("count").UInt(h.count());
@@ -178,41 +280,34 @@ std::string MetricsRegistry::ToJson() const {
 }
 
 std::string MetricsRegistry::DumpText() const {
-  MutexLock lock(mu_);
+  const RegistryState& st = *state_;
+  MutexLock lock(st.mu);
+  const std::vector<uint64_t> totals = st.CounterTotals();
   std::string out;
-  for (const auto& e : entries_) {
-    switch (e->kind) {
-      case Kind::kCounter:
-        out += StrFormat("%-40s %llu\n", e->name.c_str(),
-                         static_cast<unsigned long long>(
-                             e->counter->value()));
-        break;
-      case Kind::kGauge:
-        out += StrFormat("%-40s %.6g\n", e->name.c_str(),
-                         e->gauge->value());
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *e->histogram;
-        const std::vector<uint64_t> buckets = h.bucket_counts();
-        out += StrFormat(
-            "%-40s count=%llu mean=%.3f p50=%.3f p90=%.3f p99=%.3f [",
-            e->name.c_str(), static_cast<unsigned long long>(h.count()),
-            h.Mean(), h.Percentile(50.0), h.Percentile(90.0),
-            h.Percentile(99.0));
-        for (size_t i = 0; i < buckets.size(); ++i) {
-          if (i > 0) out += ' ';
-          if (i < h.bounds().size()) {
-            out += StrFormat("<=%.6g:%llu", h.bounds()[i],
-                             static_cast<unsigned long long>(buckets[i]));
-          } else {
-            out += StrFormat("+inf:%llu",
-                             static_cast<unsigned long long>(buckets[i]));
-          }
-        }
-        out += "]\n";
-        break;
+  for (size_t entry = 0; entry < st.entries.size(); ++entry) {
+    const RegistryState::Entry& e = *st.entries[entry];
+    if (e.histogram == nullptr) {
+      out += StrFormat("%-40s %llu\n", e.name.c_str(),
+                       static_cast<unsigned long long>(totals[entry]));
+      continue;
+    }
+    const Histogram& h = *e.histogram;
+    const std::vector<uint64_t> buckets = h.bucket_counts();
+    out += StrFormat(
+        "%-40s count=%llu mean=%.3f p50=%.3f p90=%.3f p99=%.3f [",
+        e.name.c_str(), static_cast<unsigned long long>(h.count()), h.Mean(),
+        h.Percentile(50.0), h.Percentile(90.0), h.Percentile(99.0));
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      if (i > 0) out += ' ';
+      if (i < h.bounds().size()) {
+        out += StrFormat("<=%.6g:%llu", h.bounds()[i],
+                         static_cast<unsigned long long>(buckets[i]));
+      } else {
+        out += StrFormat("+inf:%llu",
+                         static_cast<unsigned long long>(buckets[i]));
       }
     }
+    out += "]\n";
   }
   return out;
 }

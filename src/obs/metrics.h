@@ -1,63 +1,40 @@
-// The metrics registry: named counters, gauges and fixed-bucket
-// histograms that the storage/buffer/evaluator stack reports into and
-// every bench and test reads out of.
+// The metrics registry: named counters and fixed-bucket histograms that
+// the storage/buffer/evaluator stack reports into and every bench and
+// test reads out of.
 //
-// Hot-path cost discipline: instruments are resolved ONCE at wiring time
-// (Add* returns a pointer-stable handle; re-registering a name returns
-// the same handle) and events are recorded through those handles with no
-// map lookups, no locks and no allocation. Components hold nullptr
-// handles by default and guard every record with `if (handle)`, so an
-// unwired system pays a single predictable branch per event.
+// Counters are pulled. A component keeps each count once, as a relaxed
+// atomic behind its own snapshot, and its BindMetrics registers one
+// collector that emits (name, value) pairs from it; a counted event
+// costs the component one atomic add and nothing else. The registry
+// calls collectors only to export, bind, unbind or Reset, and exports
 //
-// Thread safety: recording (Counter::Add, Gauge::Set/Add,
-// Histogram::Observe) is lock-free via relaxed atomics, so the serving
-// subsystem's worker threads share instruments without synchronization.
-// Readers get point-in-time snapshots that are exact whenever the
-// writers are quiesced (the benches' reporting pattern).
+//   retained + sum over live sources of (current - baseline at bind)
+//
+// so a counter covers the events while bound, sources under one name
+// add up (every shard pool's resilient reader reports into fault.*),
+// and a source that unbinds or dies folds its last delta into
+// `retained`. Histograms are pushed through pointer-stable handles
+// resolved at bind time; Observe is lock-free.
+//
+// Thread safety: registration, export and unbinding are serialized by
+// the registry's mutex, and collectors run under it. A collector only
+// loads relaxed atomics (no lock, no call back into the registry), so
+// that mutex stays a leaf. Exports are exact whenever the writers are
+// quiesced (the benches' reporting pattern).
 
 #ifndef IRBUF_OBS_METRICS_H_
 #define IRBUF_OBS_METRICS_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-
 namespace irbuf::obs {
-
-/// A monotonically increasing event count.
-class Counter {
- public:
-  void Add(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
-
-/// A point-in-time value (e.g. buffer residency of the hottest term).
-class Gauge {
- public:
-  void Set(double value) {
-    value_.store(value, std::memory_order_relaxed);
-  }
-  void Add(double delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
 
 /// A fixed-bucket histogram: `bounds` are inclusive upper bounds of the
 /// first N buckets; an implicit +inf bucket catches the rest. Bucket
@@ -101,40 +78,84 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Owns every instrument; handles stay valid for the registry's
-/// lifetime. Registration and snapshot export are serialized by an
-/// internal mutex; recording through handles never locks.
+/// Receives a source's counters, one call each, in a fixed order.
+using Emit = std::function<void(std::string_view name, uint64_t value)>;
+/// Emits every counter of one component from its snapshot.
+using Collector = std::function<void(const Emit& emit)>;
+
+namespace internal {
+/// The registry's instruments and sources (metrics.cc), shared so that a
+/// SourceBinding can tell whether its registry still exists.
+struct RegistryState;
+}  // namespace internal
+
+/// A live registration of a counter collector (MetricsRegistry::
+/// BindSource). Destroying, reassigning or Unbind()ing it folds the
+/// source's final counts into the registry and detaches the collector.
+/// It holds the registry weakly, so the registry and the component may
+/// die in either order. Declare it after every member its collector
+/// reads, so it unbinds before they are destroyed.
+class SourceBinding {
+ public:
+  SourceBinding() = default;
+  ~SourceBinding() { Unbind(); }
+  SourceBinding(SourceBinding&& other) noexcept;
+  SourceBinding& operator=(SourceBinding&& other) noexcept;
+  SourceBinding(const SourceBinding&) = delete;
+  SourceBinding& operator=(const SourceBinding&) = delete;
+
+  /// Folds the final counts and detaches; a no-op when unbound or when
+  /// the registry is gone.
+  void Unbind();
+  /// True while registered with a registry that still exists.
+  bool bound() const { return id_ != 0 && !state_.expired(); }
+
+ private:
+  friend class MetricsRegistry;
+
+  SourceBinding(std::weak_ptr<internal::RegistryState> state, uint64_t id)
+      : state_(std::move(state)), id_(id) {}
+
+  std::weak_ptr<internal::RegistryState> state_;
+  uint64_t id_ = 0;
+};
+
+/// Owns every histogram and the counter bookkeeping; histogram handles
+/// stay valid for the registry's lifetime.
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
+  MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Registers (or re-resolves) an instrument by name. Registering an
+  /// Binds `collect` as a live counter source. It is called once now:
+  /// each name it emits is registered (in emission order) if new, and
+  /// the values become the source's baseline. A name already taken by a
+  /// histogram is ignored.
+  [[nodiscard]] SourceBinding BindSource(Collector collect);
+
+  /// Registers (or re-resolves) a histogram by name. Registering an
   /// existing name returns the already-registered handle, so several
-  /// components may bind the same registry idempotently. `help` is kept
-  /// from the first registration.
-  Counter* AddCounter(std::string name, std::string help = "");
-  Gauge* AddGauge(std::string name, std::string help = "");
-  /// `bounds` must be strictly increasing; ignored when `name` exists.
+  /// components may bind the same registry idempotently; `help` is kept
+  /// from the first registration. `bounds` must be strictly increasing
+  /// and is ignored when `name` exists. Null if `name` is a counter.
   Histogram* AddHistogram(std::string name, std::vector<double> bounds,
                           std::string help = "");
 
-  /// Lookup without registration (tests, exporters); nullptr if absent
-  /// or registered as a different kind.
-  const Counter* FindCounter(std::string_view name) const;
-  const Gauge* FindGauge(std::string_view name) const;
+  /// A counter's exported value; nullopt if no source ever emitted
+  /// `name` as a counter.
+  std::optional<uint64_t> CounterValue(std::string_view name) const;
+  /// Lookup without registration; nullptr if absent or a counter.
   const Histogram* FindHistogram(std::string_view name) const;
 
-  /// Zeroes every instrument; registrations and handles survive.
+  /// Zeroes every instrument: retained counts drop to 0, live sources
+  /// take their current values as the new baseline, histograms clear.
   void Reset();
 
-  size_t size() const {
-    MutexLock lock(mu_);
-    return entries_.size();
-  }
+  /// Registered instruments (counters and histograms).
+  size_t size() const;
 
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
+  /// One JSON object: {"counters":{...},"histograms":{...}}.
   std::string ToJson() const;
 
   /// Human-readable snapshot, one instrument per line, registration
@@ -142,24 +163,7 @@ class MetricsRegistry {
   std::string DumpText() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
-
-  struct Entry {
-    std::string name;
-    std::string help;
-    Kind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
-
-  Entry* Find(std::string_view name) IRBUF_REQUIRES(mu_);
-  const Entry* Find(std::string_view name) const IRBUF_REQUIRES(mu_);
-
-  /// Guards entries_ (registration, lookup, export). Instruments
-  /// themselves are atomic, so handle-based recording never takes it.
-  mutable Mutex mu_;
-  std::vector<std::unique_ptr<Entry>> entries_ IRBUF_GUARDED_BY(mu_);
+  std::shared_ptr<internal::RegistryState> state_;
 };
 
 }  // namespace irbuf::obs

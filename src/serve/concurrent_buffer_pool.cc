@@ -140,17 +140,10 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
     if (obs::Span* record = pin_span.record()) record->hit = true;
     fetches_.fetch_add(1, std::memory_order_relaxed);
     hits_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.fetches != nullptr) {
-      metrics_.fetches->Add(1);
-      metrics_.hits->Add(1);
-    }
     if (joined_load) {
       // This fetch would have been a duplicate disk read before
       // coalescing; it shared the loader's read instead.
       coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_.coalesced_misses != nullptr) {
-        metrics_.coalesced_misses->Add(1);
-      }
     }
     {
       MutexLock latch(latch_mu_);
@@ -213,10 +206,6 @@ Result<buffer::PinnedPage> ConcurrentBufferPool::FetchPinned(PageId id) {
   // reads, exactly (coalescing leaves no duplicate-read window).
   fetches_.fetch_add(1, std::memory_order_relaxed);
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_.fetches != nullptr) {
-    metrics_.fetches->Add(1);
-    metrics_.misses->Add(1);
-  }
 
   {
     MutexLock latch(latch_mu_);
@@ -297,8 +286,7 @@ void ConcurrentBufferPool::ReleaseFailedLoad(uint64_t key,
 void ConcurrentBufferPool::ObserveEvictionLocked(buffer::FrameId frame,
                                                  bool policy_victim) {
   obs::SpanRecorder* const spans = options_.span_recorder;
-  if (spans == nullptr && !eviction_observer_ &&
-      metrics_.victim_age == nullptr) {
+  if (spans == nullptr && !eviction_observer_ && victim_age_ == nullptr) {
     return;
   }
   const Frame& f = frames_[frame];
@@ -319,8 +307,8 @@ void ConcurrentBufferPool::ObserveEvictionLocked(buffer::FrameId frame,
                           .b = ev.value,
                           .n = ev.age_fetches});
   }
-  if (obs::Histogram* victim_age = metrics_.victim_age) {
-    victim_age->Observe(static_cast<double>(ev.age_fetches));
+  if (victim_age_ != nullptr) {
+    victim_age_->Observe(static_cast<double>(ev.age_fetches));
   }
   if (eviction_observer_) eviction_observer_(ev);
 }
@@ -376,7 +364,6 @@ buffer::FrameId ConcurrentBufferPool::EvictOneLocked() {
     }
     frames_[candidate].meta.occupied = false;
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.evictions != nullptr) metrics_.evictions->Add(1);
     return candidate;
   }
   return buffer::kInvalidFrame;
@@ -412,9 +399,7 @@ buffer::FrameId ConcurrentBufferPool::ReclaimPrefetchedLocked() {
     prefetch_window_.erase(prefetch_window_.begin() +
                            static_cast<ptrdiff_t>(i));
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.evictions != nullptr) metrics_.evictions->Add(1);
     prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.prefetch_wasted != nullptr) metrics_.prefetch_wasted->Add(1);
     return frame;
   }
   return buffer::kInvalidFrame;
@@ -436,7 +421,6 @@ void ConcurrentBufferPool::PromoteLocked(buffer::FrameId frame) {
   // OnHit) and victim choice before this touch was undistorted.
   policy_->OnInsert(frame);
   prefetch_used_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_.prefetch_used != nullptr) metrics_.prefetch_used->Add(1);
 }
 
 void ConcurrentBufferPool::AbandonLoad(uint64_t key) {
@@ -469,9 +453,6 @@ void ConcurrentBufferPool::Prefetch(buffer::PageAccessPlan plan) {
   if (queued < plan.size()) {
     prefetch_dropped_.fetch_add(plan.size() - queued,
                                 std::memory_order_relaxed);
-    if (metrics_.prefetch_dropped != nullptr) {
-      metrics_.prefetch_dropped->Add(plan.size() - queued);
-    }
   }
   for (size_t i = 0; i < queued; ++i) prefetch_cv_.NotifyOne();
 }
@@ -544,7 +525,6 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
     return;
   }
   prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_.prefetch_issued != nullptr) metrics_.prefetch_issued->Add(1);
 
   {
     MutexLock latch(latch_mu_);
@@ -567,7 +547,6 @@ void ConcurrentBufferPool::PrefetchOne(PageId id) {
       f.prefetch_tagged = false;
       policy_->OnInsert(frame);
       prefetch_used_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_.prefetch_used != nullptr) metrics_.prefetch_used->Add(1);
     } else {
       f.prefetch_tagged = true;
       // The window bound is hard, enforced where the window grows: even
@@ -686,29 +665,25 @@ void ConcurrentBufferPool::BindMetrics(obs::MetricsRegistry* registry,
                                        const std::string& prefix) {
   if (resilient_ != nullptr) resilient_->BindMetrics(registry);
   if (registry == nullptr) {
-    metrics_ = MetricHandles{};
+    counters_.Unbind();
+    victim_age_ = nullptr;
     return;
   }
-  metrics_.fetches =
-      registry->AddCounter(prefix + ".fetches", "pages requested of the pool");
-  metrics_.hits = registry->AddCounter(prefix + ".hits",
-                                       "buffer-resident hits");
-  metrics_.misses =
-      registry->AddCounter(prefix + ".misses", "fetches that went to disk");
-  metrics_.evictions = registry->AddCounter(
-      prefix + ".evictions", "pages pushed out of the pool");
-  metrics_.prefetch_issued = registry->AddCounter(
-      prefix + ".prefetch_issued", "readahead reads completed into frames");
-  metrics_.prefetch_used = registry->AddCounter(
-      prefix + ".prefetch_used", "prefetched pages later demand-touched");
-  metrics_.prefetch_wasted = registry->AddCounter(
-      prefix + ".prefetch_wasted", "prefetched pages reclaimed untouched");
-  metrics_.prefetch_dropped = registry->AddCounter(
-      prefix + ".prefetch_dropped", "readahead hints dropped at the bound");
-  metrics_.coalesced_misses = registry->AddCounter(
-      prefix + ".coalesced_misses",
-      "fetches that joined an in-flight load instead of reading");
-  metrics_.victim_age = registry->AddHistogram(
+  counters_ = registry->BindSource(
+      [this, prefix](const obs::Emit& emit) {
+        const buffer::BufferStats s = StatsSnapshot();
+        const PoolPrefetchStats p = PrefetchStatsSnapshot();
+        emit(prefix + ".fetches", s.fetches);
+        emit(prefix + ".hits", s.hits);
+        emit(prefix + ".misses", s.misses);
+        emit(prefix + ".evictions", s.evictions);
+        emit(prefix + ".prefetch_issued", p.issued);
+        emit(prefix + ".prefetch_used", p.used);
+        emit(prefix + ".prefetch_wasted", p.wasted);
+        emit(prefix + ".prefetch_dropped", p.dropped);
+        emit(prefix + ".coalesced_misses", p.coalesced_misses);
+      });
+  victim_age_ = registry->AddHistogram(
       prefix + ".eviction_victim_age",
       {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0},
       "eviction victim age in fetches since insertion");

@@ -308,10 +308,10 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   /// readahead hint may remain (IRBUF_DCHECK).
   void Flush() IRBUF_EXCLUDES(latch_mu_);
 
-  /// Resolves the buffer.* metric handles in `registry` (fetches, hits,
-  /// misses, evictions, the eviction_victim_age histogram, the
-  /// prefetch_* readahead counters and coalesced_misses). Call before
-  /// serving starts; pass nullptr to unbind. `prefix` replaces the
+  /// Exports StatsSnapshot and PrefetchStatsSnapshot to `registry` as
+  /// buffer.* counters, read at export time, and binds the
+  /// eviction_victim_age histogram. Call before serving starts; pass
+  /// nullptr to unbind. `prefix` replaces the
   /// leading "buffer" of every instrument name — the sharded pool binds
   /// its per-shard pools as "shard0.buffer", "shard1.buffer", ... so
   /// shard hit rates are individually observable in one registry.
@@ -487,19 +487,6 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   /// Loads one hinted page end to end (dequeue side of Prefetch).
   void PrefetchOne(PageId id);
 
-  struct MetricHandles {
-    obs::Counter* fetches = nullptr;
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* prefetch_issued = nullptr;
-    obs::Counter* prefetch_used = nullptr;
-    obs::Counter* prefetch_wasted = nullptr;
-    obs::Counter* prefetch_dropped = nullptr;
-    obs::Counter* coalesced_misses = nullptr;
-    obs::Histogram* victim_age = nullptr;
-  };
-
   const storage::SimulatedDisk* disk_;
   const ConcurrentPoolOptions options_;
 
@@ -541,7 +528,10 @@ class ConcurrentBufferPool final : public buffer::FrameDirectory,
   std::atomic<uint64_t> prefetch_wasted_{0};
   std::atomic<uint64_t> prefetch_dropped_{0};
   std::atomic<uint64_t> coalesced_misses_{0};
-  MetricHandles metrics_;
+  /// The buffer.* counters' registration (pulled from the atomics above)
+  /// and the victim-age histogram, both set by BindMetrics.
+  obs::SourceBinding counters_;
+  obs::Histogram* victim_age_ = nullptr;
   /// Contention accounting the constructor attaches to latch_mu_ and
   /// every stripe mutex when options.profile_contention is set.
   MutexWaitStats latch_waits_{"pool.latch"};

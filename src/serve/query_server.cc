@@ -105,7 +105,6 @@ void QueryServer::Stop() {
   queue_cv_.NotifyAll();
   for (Task& task : orphans) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.failed != nullptr) metrics_.failed->Add(1);
     task.promise.set_value(
         Status::FailedPrecondition("server stopped before evaluation"));
   }
@@ -135,7 +134,6 @@ Result<std::future<Result<QueryResponse>>> QueryServer::Submit(
     }
     if (queue_.size() >= options_.queue_depth) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_.rejected != nullptr) metrics_.rejected->Add(1);
       return Status::ResourceExhausted(
           StrFormat("admission queue full (%zu queries waiting); retry "
                     "after an answer drains",
@@ -144,7 +142,6 @@ Result<std::future<Result<QueryResponse>>> QueryServer::Submit(
     queue_.push_back(std::move(task));
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_.submitted != nullptr) metrics_.submitted->Add(1);
   queue_cv_.NotifyOne();
   return future;
 }
@@ -179,7 +176,6 @@ void QueryServer::WorkerLoop() {
     std::string why;
     if (ShouldShed(task, &why)) {
       shed_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_.shed != nullptr) metrics_.shed->Add(1);
       // Shed queries never touch the latency histogram: the exported
       // percentiles describe served traffic, and a shed is visible in
       // its own counter, never as silent latency.
@@ -263,18 +259,14 @@ void QueryServer::RunTask(Task task, double queue_delay_ewma_us) {
             static_cast<double>(ov.brownout_term_threshold_us)) {
       control.max_terms = ov.brownout_max_terms;
       control_ptr = &control;
-      if (metrics_.brownout_trim_terms != nullptr) {
-        metrics_.brownout_trim_terms->Add(1);
-      }
+      brownout_trim_terms_.fetch_add(1, std::memory_order_relaxed);
     }
     if (ov.brownout_page_threshold_us > 0 &&
         queue_delay_ewma_us >=
             static_cast<double>(ov.brownout_page_threshold_us)) {
       control.max_pages_per_term = ov.brownout_max_pages_per_term;
       control_ptr = &control;
-      if (metrics_.brownout_trim_pages != nullptr) {
-        metrics_.brownout_trim_pages->Add(1);
-      }
+      brownout_trim_pages_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   Result<core::EvalResult> eval = [&] {
@@ -291,7 +283,6 @@ void QueryServer::RunTask(Task task, double queue_delay_ewma_us) {
 
   if (!eval.ok()) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.failed != nullptr) metrics_.failed->Add(1);
     task.promise.set_value(eval.status());
     return;
   }
@@ -301,12 +292,10 @@ void QueryServer::RunTask(Task task, double queue_delay_ewma_us) {
   response.session = task.session;
   if (response.eval.deadline_hit) {
     response.annotation = StatusCode::kDeadlineExceeded;
-    if (metrics_.deadline_exceeded != nullptr) {
-      metrics_.deadline_exceeded->Add(1);
-    }
+    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (response.eval.degraded && metrics_.degraded != nullptr) {
-    metrics_.degraded->Add(1);
+  if (response.eval.degraded) {
+    degraded_.fetch_add(1, std::memory_order_relaxed);
   }
   response.latency =
       std::chrono::microseconds((end_ns - task.submitted_ns) / 1000);
@@ -321,10 +310,8 @@ void QueryServer::RunTask(Task task, double queue_delay_ewma_us) {
     response.session_step = session_stats.queries;
   }
   completed_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_.completed != nullptr) metrics_.completed->Add(1);
-  if (metrics_.latency_us != nullptr) {
-    metrics_.latency_us->Observe(
-        static_cast<double>(response.latency.count()));
+  if (latency_us_ != nullptr) {
+    latency_us_->Observe(static_cast<double>(response.latency.count()));
   }
   // Feed the shed decision's p50 from every completed evaluation (shed
   // queries never reach here, so the estimate tracks served work).
@@ -339,6 +326,12 @@ ServerStats QueryServer::StatsSnapshot() const {
   s.completed = completed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
+  s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
+  s.degraded = degraded_.load(std::memory_order_relaxed);
+  s.brownout_trim_terms =
+      brownout_trim_terms_.load(std::memory_order_relaxed);
+  s.brownout_trim_pages =
+      brownout_trim_pages_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -359,35 +352,23 @@ void QueryServer::BindMetrics(obs::MetricsRegistry* registry) {
   // (the engine exposes its own, per-shard, BindMetrics).
   if (options_.engine == nullptr) pool_.BindMetrics(registry);
   if (registry == nullptr) {
-    metrics_ = MetricHandles{};
+    counters_.Unbind();
+    latency_us_ = nullptr;
     return;
   }
-  metrics_.submitted =
-      registry->AddCounter("serve.submitted", "queries admitted to the queue");
-  metrics_.rejected = registry->AddCounter(
-      "serve.rejected_at_admission",
-      "submissions bounced by admission control (queue full)");
-  metrics_.shed = registry->AddCounter(
-      "serve.shed_while_queued",
-      "admitted queries dropped at dequeue because the remaining "
-      "deadline budget could not cover evaluation");
-  metrics_.completed =
-      registry->AddCounter("serve.completed", "queries answered");
-  metrics_.failed =
-      registry->AddCounter("serve.failed", "queries that errored or aborted");
-  metrics_.deadline_exceeded = registry->AddCounter(
-      "serve.deadline_exceeded",
-      "queries answered partially because the deadline elapsed");
-  metrics_.degraded = registry->AddCounter(
-      "serve.degraded",
-      "queries answered with pages lost or a deadline hit");
-  metrics_.brownout_trim_terms = registry->AddCounter(
-      "serve.brownout_trim_terms",
-      "queries evaluated with the term budget trimmed (brownout rung 1)");
-  metrics_.brownout_trim_pages = registry->AddCounter(
-      "serve.brownout_trim_pages",
-      "queries evaluated with per-term page work capped (brownout rung 2)");
-  metrics_.latency_us = registry->AddHistogram(
+  counters_ = registry->BindSource([this](const obs::Emit& emit) {
+    const ServerStats s = StatsSnapshot();
+    emit("serve.submitted", s.submitted);
+    emit("serve.rejected_at_admission", s.rejected);
+    emit("serve.shed_while_queued", s.shed);
+    emit("serve.completed", s.completed);
+    emit("serve.failed", s.failed);
+    emit("serve.deadline_exceeded", s.deadline_exceeded);
+    emit("serve.degraded", s.degraded);
+    emit("serve.brownout_trim_terms", s.brownout_trim_terms);
+    emit("serve.brownout_trim_pages", s.brownout_trim_pages);
+  });
+  latency_us_ = registry->AddHistogram(
       "serve.latency_us", LatencyBucketsUs(),
       "submit-to-answer latency in microseconds (shed queries excluded)");
 }

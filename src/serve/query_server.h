@@ -177,6 +177,14 @@ struct ServerStats {
   /// Dropped from the queue by overload control with kShedWhileQueued
   /// (admitted, but the deadline budget could not cover evaluation).
   uint64_t shed = 0;
+  /// Completed queries answered partially because the deadline elapsed.
+  uint64_t deadline_exceeded = 0;
+  /// Completed queries answered with pages lost or a deadline hit.
+  uint64_t degraded = 0;
+  /// Queries evaluated with the term budget trimmed (brownout rung 1).
+  uint64_t brownout_trim_terms = 0;
+  /// Queries evaluated with per-term page work capped (brownout rung 2).
+  uint64_t brownout_trim_pages = 0;
 };
 
 /// A concurrent query server over a prebuilt index.
@@ -223,13 +231,13 @@ class QueryServer {
   /// Queries waiting for a worker right now.
   size_t QueueDepth() const IRBUF_EXCLUDES(queue_mu_);
 
-  /// Resolves serve.* metric handles in `registry` (serve.submitted,
-  /// serve.rejected_at_admission, serve.shed_while_queued,
-  /// serve.completed, serve.failed, brownout-rung counters and the
-  /// serve.latency_us histogram, whose JSON export carries p50/p90/p99;
-  /// shed queries are excluded from the histogram so the percentiles
-  /// reflect served traffic only) and binds the shared pool's buffer.*
-  /// instruments. Call before Start; pass nullptr to unbind.
+  /// Exports StatsSnapshot() to `registry` as serve.* counters, read at
+  /// export time (rejected is serve.rejected_at_admission, shed is
+  /// serve.shed_while_queued); binds the serve.latency_us histogram,
+  /// whose JSON export carries p50/p90/p99 (shed queries are excluded so
+  /// the percentiles reflect served traffic only); and binds the shared
+  /// pool's buffer.* instruments. Call before Start; pass nullptr to
+  /// unbind.
   void BindMetrics(obs::MetricsRegistry* registry);
 
   /// Current queue-delay EWMA in microseconds (0 until overload control
@@ -271,19 +279,6 @@ class QueryServer {
   /// the budget arithmetic when shedding.
   bool ShouldShed(const Task& task, std::string* why) const;
 
-  struct MetricHandles {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Counter* deadline_exceeded = nullptr;
-    obs::Counter* degraded = nullptr;
-    obs::Counter* brownout_trim_terms = nullptr;
-    obs::Counter* brownout_trim_pages = nullptr;
-    obs::Histogram* latency_us = nullptr;
-  };
-
   const index::InvertedIndex* index_;
   const ServerOptions options_;
   ConcurrentBufferPool pool_;
@@ -320,8 +315,15 @@ class QueryServer {
   std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};
+  std::atomic<uint64_t> deadline_exceeded_{0};
+  std::atomic<uint64_t> degraded_{0};
+  std::atomic<uint64_t> brownout_trim_terms_{0};
+  std::atomic<uint64_t> brownout_trim_pages_{0};
   std::atomic<uint32_t> next_query_id_{0};
-  MetricHandles metrics_;
+  /// The serve.* counters' registration and the latency histogram (null
+  /// when unbound), both set by BindMetrics.
+  obs::SourceBinding counters_;
+  obs::Histogram* latency_us_ = nullptr;
   /// Contention accounting the constructor attaches to queue_mu_ when
   /// options.profile_contention is set.
   MutexWaitStats queue_waits_{"serve.queue"};

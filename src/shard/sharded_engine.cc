@@ -230,7 +230,7 @@ void ShardedEngine::ForfeitShard(size_t shard, const core::Query& query,
   if ((*dead)[shard] != 0) return;
   (*dead)[shard] = 1;
   ++merged->shards_lost;
-  if (shards_lost_metric_ != nullptr) shards_lost_metric_->Add(1);
+  shards_lost_.fetch_add(1, std::memory_order_relaxed);
   // The shard's whole possible contribution is charged, executed terms
   // included: its partial (accumulators, counters, earlier per-page
   // bounds) is dropped wholesale at gather time, so the per-term page
@@ -244,22 +244,16 @@ void ShardedEngine::ForfeitShard(size_t shard, const core::Query& query,
 void ShardedEngine::BindMetrics(obs::MetricsRegistry* registry) {
   pool_.BindMetrics(registry);
   if (registry == nullptr) {
-    shards_lost_metric_ = nullptr;
-    for (std::unique_ptr<fault::CircuitBreaker>& breaker : breakers_) {
-      breaker->BindMetrics(nullptr, nullptr);
-    }
+    counters_.Unbind();
     return;
   }
-  shards_lost_metric_ = registry->AddCounter(
-      "engine.shards_lost",
-      "shards forfeited mid-query (breaker open or straggler abandoned)");
-  for (size_t s = 0; s < breakers_.size(); ++s) {
-    breakers_[s]->BindMetrics(
-        registry->AddCounter(StrFormat("shard%zu.breaker.trips", s),
-                             "shard failure-domain breaker trips"),
-        registry->AddCounter(StrFormat("shard%zu.breaker.rejects", s),
-                             "term steps fail-fasted by the shard breaker"));
-  }
+  counters_ = registry->BindSource([this](const obs::Emit& emit) {
+    emit("engine.shards_lost", shards_lost_.load(std::memory_order_relaxed));
+    for (size_t s = 0; s < breakers_.size(); ++s) {
+      emit(StrFormat("shard%zu.breaker.trips", s), breakers_[s]->trips());
+      emit(StrFormat("shard%zu.breaker.rejects", s), breakers_[s]->rejects());
+    }
+  });
 }
 
 Result<core::EvalResult> ShardedEngine::Evaluate(

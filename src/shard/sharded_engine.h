@@ -47,6 +47,7 @@
 #ifndef IRBUF_SHARD_SHARDED_ENGINE_H_
 #define IRBUF_SHARD_SHARDED_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -187,7 +188,8 @@ class ShardedEngine final : public serve::QueryEngine {
 
   /// Binds per-shard buffer instruments ("shard<i>.buffer.*"), shard
   /// breaker trip/reject counters ("shard<i>.breaker.*") and the
-  /// engine-level forfeit counter ("engine.shards_lost").
+  /// engine-level forfeit counter ("engine.shards_lost"), read at export
+  /// time. Pass nullptr to unbind.
   void BindMetrics(obs::MetricsRegistry* registry);
 
  private:
@@ -213,9 +215,10 @@ class ShardedEngine final : public serve::QueryEngine {
   /// Per-shard failure-domain breakers (empty when disabled). Their
   /// own mutex serializes feeding; persists across queries.
   std::vector<std::unique_ptr<fault::CircuitBreaker>> breakers_;
-  /// Bumped once per shard forfeiture; wired at BindMetrics time (the
-  /// Counter itself is thread-safe).
-  obs::Counter* shards_lost_metric_ = nullptr;
+  /// Shards forfeited mid-query (breaker open or straggler abandoned).
+  std::atomic<uint64_t> shards_lost_{0};
+  /// Exports shards_lost_ and the breakers' counts (BindMetrics).
+  obs::SourceBinding counters_;
   /// True when the constructor attached eval.span_recorder to the shard
   /// disks (the destructor then detaches it).
   bool attached_disk_spans_ = false;

@@ -134,12 +134,8 @@ Status SimulatedDisk::FinishRead(PageId id, const PageReadOp& op,
   postings_decoded_.fetch_add(out->block.size(),
                               std::memory_order_relaxed);
   bytes_read_.fetch_add(image.size(), std::memory_order_relaxed);
-  if (metrics_.reads != nullptr) {
-    metrics_.reads->Add(1);
-    metrics_.postings_decoded->Add(out->block.size());
-    metrics_.bytes_read->Add(image.size());
-    metrics_.postings_per_page->Observe(
-        static_cast<double>(out->block.size()));
+  if (postings_per_page_ != nullptr) {
+    postings_per_page_->Observe(static_cast<double>(out->block.size()));
   }
   return Status::OK();
 }
@@ -157,16 +153,17 @@ Status SimulatedDisk::ReadPage(PageId id, Page* out,
 
 void SimulatedDisk::BindMetrics(obs::MetricsRegistry* registry) const {
   if (registry == nullptr) {
-    metrics_ = MetricHandles{};
+    counters_.Unbind();
+    postings_per_page_ = nullptr;
     return;
   }
-  metrics_.reads =
-      registry->AddCounter("disk.reads", "pages read (decoded) from disk");
-  metrics_.postings_decoded = registry->AddCounter(
-      "disk.postings_decoded", "postings decompressed by reads");
-  metrics_.bytes_read = registry->AddCounter(
-      "disk.bytes_read", "compressed bytes moved by reads");
-  metrics_.postings_per_page = registry->AddHistogram(
+  counters_ = registry->BindSource([this](const obs::Emit& emit) {
+    const DiskStats s = stats();
+    emit("disk.reads", s.reads);
+    emit("disk.postings_decoded", s.postings_decoded);
+    emit("disk.bytes_read", s.bytes_read);
+  });
+  postings_per_page_ = registry->AddHistogram(
       "disk.postings_per_page", {32.0, 64.0, 128.0, 256.0, 404.0, 512.0},
       "postings per decoded page");
 }

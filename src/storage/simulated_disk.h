@@ -17,6 +17,7 @@
 #include "storage/codec.h"
 #include "storage/page.h"
 #include "storage/types.h"
+#include "util/dcheck.h"
 #include "util/status.h"
 
 namespace irbuf::storage {
@@ -128,18 +129,20 @@ class SimulatedDisk {
   /// independent of the BufferStats of a buffer pool layered on top: a
   /// buffer flush never touches these, and this call never touches the
   /// pool's. (Invariant when both start from zero and readahead is off:
-  /// stats().reads == pool misses.)
+  /// stats().reads == pool misses.) Only while unbound (BindMetrics): a
+  /// bound registry counts from the values at bind time.
   void ResetStats() {
+    IRBUF_DCHECK(!counters_.bound(), "disk stats reset while bound");
     reads_.store(0, std::memory_order_relaxed);
     postings_decoded_.store(0, std::memory_order_relaxed);
     bytes_read_.store(0, std::memory_order_relaxed);
   }
 
-  /// Resolves metric handles in `registry` (disk.reads,
-  /// disk.postings_decoded, disk.bytes_read, disk.postings_per_page) so
-  /// every subsequent ReadPage also reports there. Resolution happens
-  /// once, here; the read path only dereferences the cached handles.
-  /// Pass nullptr to unbind. Observational only, hence const.
+  /// Exports stats() to `registry` as disk.reads, disk.postings_decoded
+  /// and disk.bytes_read, read at export time, and binds the
+  /// disk.postings_per_page histogram that every subsequent read
+  /// observes into. Pass nullptr to unbind. Observational only, hence
+  /// const.
   void BindMetrics(obs::MetricsRegistry* registry) const;
 
   /// Attaches a fault injector consulted on every subsequent ReadPage
@@ -172,14 +175,6 @@ class SimulatedDisk {
     uint32_t crc = 0;
   };
 
-  /// Pre-resolved registry handles (all null when unbound).
-  struct MetricHandles {
-    obs::Counter* reads = nullptr;
-    obs::Counter* postings_decoded = nullptr;
-    obs::Counter* bytes_read = nullptr;
-    obs::Histogram* postings_per_page = nullptr;
-  };
-
   std::vector<std::vector<EncodedPage>> files_;
   uint64_t total_pages_ = 0;
   uint64_t total_postings_ = 0;
@@ -190,7 +185,10 @@ class SimulatedDisk {
   mutable std::atomic<uint64_t> reads_{0};
   mutable std::atomic<uint64_t> postings_decoded_{0};
   mutable std::atomic<uint64_t> bytes_read_{0};
-  mutable MetricHandles metrics_;
+  /// The disk.* counters' registration and the postings-per-page
+  /// histogram (null when unbound), both set by BindMetrics.
+  mutable obs::SourceBinding counters_;
+  mutable obs::Histogram* postings_per_page_ = nullptr;
   /// Borrowed, not owned; nullptr = fault-free operation.
   mutable const fault::FaultInjector* injector_ = nullptr;
   /// Borrowed, not owned; nullptr = no read-path span tracing.

@@ -294,9 +294,9 @@ TEST(SequenceTelemetryTest, ExportCarriesPerStepObservability) {
     fetches += sr.buffer.fetches;
     evictions += sr.buffer.evictions;
   }
-  EXPECT_EQ(registry.FindCounter("buffer.fetches")->value(), fetches);
-  EXPECT_EQ(registry.FindCounter("buffer.evictions")->value(), evictions);
-  EXPECT_EQ(registry.FindCounter("disk.reads")->value(),
+  EXPECT_EQ(registry.CounterValue("buffer.fetches"), fetches);
+  EXPECT_EQ(registry.CounterValue("buffer.evictions"), evictions);
+  EXPECT_EQ(registry.CounterValue("disk.reads"),
             result.value().total_disk_reads);
   EXPECT_GT(evictions, 0u);
 

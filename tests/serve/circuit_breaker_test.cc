@@ -116,17 +116,20 @@ TEST(CircuitBreakerTest, SlidingWindowForgetsOldFailures) {
 
 TEST(CircuitBreakerTest, MetricsTrackTripsAndRejects) {
   obs::MetricsRegistry registry;
-  obs::Counter* trips = registry.AddCounter("t", "trips");
-  obs::Counter* rejects = registry.AddCounter("r", "rejects");
   uint64_t now = 0;
   CircuitBreaker breaker(SmallBreaker(), [&now] { return now; });
-  breaker.BindMetrics(trips, rejects);
+  // Owners export a breaker's counts the way ShardedEngine does.
+  obs::SourceBinding binding =
+      registry.BindSource([&breaker](const obs::Emit& emit) {
+        emit("t", breaker.trips());
+        emit("r", breaker.rejects());
+      });
   for (int i = 0; i < 4; ++i) breaker.RecordFailure();
   EXPECT_FALSE(breaker.AllowRequest());
-  EXPECT_EQ(trips->value(), breaker.trips());
-  EXPECT_EQ(rejects->value(), breaker.rejects());
-  EXPECT_EQ(trips->value(), 1u);
-  EXPECT_EQ(rejects->value(), 1u);
+  EXPECT_EQ(registry.CounterValue("t"), breaker.trips());
+  EXPECT_EQ(registry.CounterValue("r"), breaker.rejects());
+  EXPECT_EQ(registry.CounterValue("t"), 1u);
+  EXPECT_EQ(registry.CounterValue("r"), 1u);
 }
 
 // ---- Trip and recover, end to end through the retry loop. ----

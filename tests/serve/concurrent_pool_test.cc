@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "../buffer/test_disk.h"
 #include "buffer/policy_factory.h"
+#include "buffer/readahead_cursor.h"
+#include "obs/metrics.h"
+#include "quiesce.h"
 #include "util/rng.h"
 
 namespace irbuf::serve {
@@ -223,6 +228,67 @@ TEST(ConcurrentPoolTest, ExternalContextModeIgnoresSetQueryContext) {
   pool.SetQueryContext(std::move(ctx));  // Must be a no-op, not a crash.
   auto r = pool.FetchPinned(PageId{0, 0});
   EXPECT_TRUE(r.ok());
+}
+
+// Conservation holds on the registry's exported values, not only on the
+// pool's own snapshots: 8 threads scan through a depth-4 readahead pool
+// whose pool and disk are bound to one registry, and at quiescence the
+// pulled counters conserve and equal the snapshots they are read from.
+TEST(ConcurrentPoolTest, RegistryCountersConserveUnderReadahead) {
+  constexpr int kThreads = 8;
+  constexpr uint32_t kPages = 24;
+  auto disk = MakeTestDisk(std::vector<uint32_t>(kThreads, kPages));
+  ConcurrentPoolOptions opts = Opts(48);
+  opts.prefetch_depth = 4;  // B = min(max(64, 32), 24) = 24.
+  obs::MetricsRegistry registry;  // Outlives the pool's workers.
+  ConcurrentBufferPool pool(disk.get(), opts);
+  pool.BindMetrics(&registry);
+  disk->BindMetrics(&registry);
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, t] {
+      // Three rounds over shifted terms: threads share and evict pages.
+      for (int round = 0; round < 3; ++round) {
+        const TermId term = static_cast<TermId>((t + round) % kThreads);
+        buffer::ReadaheadCursor readahead(&pool, term, pool.PrefetchDepth(),
+                                          kPages);
+        for (uint32_t p = 0; p < kPages; ++p) {
+          readahead.BeforeFetch(p);
+          auto page = pool.FetchPinned(PageId{term, p});
+          ASSERT_TRUE(page.ok()) << page.status().message();
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  Quiesce(pool, disk.get());
+
+  auto value = [&registry](const char* name) {
+    const std::optional<uint64_t> v = registry.CounterValue(name);
+    EXPECT_TRUE(v.has_value()) << name;
+    return v.value_or(0);
+  };
+  EXPECT_EQ(value("buffer.fetches"),
+            value("buffer.hits") + value("buffer.misses"));
+  EXPECT_EQ(value("buffer.misses") + value("buffer.prefetch_issued"),
+            value("disk.reads"));
+
+  const buffer::BufferStats stats = pool.StatsSnapshot();
+  const PoolPrefetchStats prefetch = pool.PrefetchStatsSnapshot();
+  EXPECT_EQ(stats.fetches, uint64_t{kThreads} * 3 * kPages);
+  EXPECT_GT(prefetch.issued, 0u);  // Readahead really ran...
+  EXPECT_GT(stats.evictions, 0u);  // ...and the pool really evicted.
+  EXPECT_EQ(value("buffer.fetches"), stats.fetches);
+  EXPECT_EQ(value("buffer.hits"), stats.hits);
+  EXPECT_EQ(value("buffer.misses"), stats.misses);
+  EXPECT_EQ(value("buffer.evictions"), stats.evictions);
+  EXPECT_EQ(value("buffer.prefetch_issued"), prefetch.issued);
+  EXPECT_EQ(value("buffer.prefetch_used"), prefetch.used);
+  EXPECT_EQ(value("buffer.prefetch_wasted"), prefetch.wasted);
+  EXPECT_EQ(value("buffer.prefetch_dropped"), prefetch.dropped);
+  EXPECT_EQ(value("buffer.coalesced_misses"), prefetch.coalesced_misses);
+  EXPECT_EQ(value("disk.reads"), disk->stats().reads);
 }
 
 }  // namespace

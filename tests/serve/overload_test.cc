@@ -77,8 +77,8 @@ TEST(OverloadShedTest, QueuedQueryPastDeadlineIsShedTyped) {
 
   // Metric split: sheds land in their own counter, not in failures or
   // admission rejections — and never in the latency histogram.
-  EXPECT_EQ(registry.FindCounter("serve.shed_while_queued")->value(), 4u);
-  EXPECT_EQ(registry.FindCounter("serve.rejected_at_admission")->value(), 0u);
+  EXPECT_EQ(registry.CounterValue("serve.shed_while_queued"), 4u);
+  EXPECT_EQ(registry.CounterValue("serve.rejected_at_admission"), 0u);
   EXPECT_EQ(registry.FindHistogram("serve.latency_us")->count(), 1u);
 }
 
@@ -169,8 +169,8 @@ TEST(OverloadBrownoutTest, QueueDelayEwmaTrimsTermsThenPages) {
   }
   server.Stop();
   EXPECT_GE(server.QueueDelayEwmaUs(), 500.0);
-  EXPECT_GE(registry.FindCounter("serve.brownout_trim_terms")->value(), 1u);
-  EXPECT_EQ(registry.FindCounter("serve.brownout_trim_pages")->value(), 0u);
+  EXPECT_GE(registry.CounterValue("serve.brownout_trim_terms"), 1u);
+  EXPECT_EQ(registry.CounterValue("serve.brownout_trim_pages"), 0u);
   EXPECT_EQ(server.StatsSnapshot().shed, 0u);  // Trimmed, never dropped.
 }
 
@@ -204,7 +204,7 @@ TEST(OverloadBrownoutTest, SecondRungCapsPagesPerTerm) {
   EXPECT_GT(er.pages_trimmed, 0u);
   EXPECT_GT(er.quality_bound, 0.0);
   EXPECT_LE(er.pages_processed, 8u);  // <= one page per term.
-  EXPECT_GE(registry.FindCounter("serve.brownout_trim_pages")->value(), 1u);
+  EXPECT_GE(registry.CounterValue("serve.brownout_trim_pages"), 1u);
 }
 
 TEST(OverloadBrownoutTest, IdleServerNeverBrownsOut) {
@@ -258,7 +258,7 @@ TEST(OverloadMetricSplitTest, AdmissionRejectionIsNotAShed) {
 
   const serve::ServerStats stats = server.StatsSnapshot();
   EXPECT_EQ(stats.rejected, 3u);
-  EXPECT_EQ(registry.FindCounter("serve.rejected_at_admission")->value(), 3u);
+  EXPECT_EQ(registry.CounterValue("serve.rejected_at_admission"), 3u);
   EXPECT_EQ(stats.shed + stats.completed, 2u);
 }
 

@@ -273,9 +273,9 @@ TEST_F(QueryServerTest, BindMetricsExportsServeInstruments) {
   ASSERT_TRUE(server.Execute(1, MakeQuery({0, 1, 2})).ok());
   server.Stop();
 
-  ASSERT_NE(registry.FindCounter("serve.submitted"), nullptr);
-  EXPECT_EQ(registry.FindCounter("serve.submitted")->value(), 1u);
-  EXPECT_EQ(registry.FindCounter("serve.completed")->value(), 1u);
+  ASSERT_TRUE(registry.CounterValue("serve.submitted").has_value());
+  EXPECT_EQ(registry.CounterValue("serve.submitted"), 1u);
+  EXPECT_EQ(registry.CounterValue("serve.completed"), 1u);
   const obs::Histogram* latency = registry.FindHistogram("serve.latency_us");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count(), 1u);

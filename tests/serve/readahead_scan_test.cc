@@ -16,6 +16,7 @@
 
 #include "../buffer/test_disk.h"
 #include "../core/test_index.h"
+#include "quiesce.h"
 #include "buffer/readahead_cursor.h"
 #include "core/filtering_evaluator.h"
 #include "core/quit_continue_evaluator.h"
@@ -41,27 +42,6 @@ int ThreadCount() {
     }
   }
   return -1;
-}
-
-/// Waits until the pool's readahead has drained: every device read is
-/// accounted (misses + issued == device_reads == the disk's count) and
-/// nothing moved for five polls 20 ms apart — longer than any miss
-/// delay the tests use, so a read still in flight would show.
-void Quiesce(const ConcurrentBufferPool& pool,
-             const storage::SimulatedDisk& disk) {
-  uint64_t last = ~uint64_t{0};
-  int stable = 0;
-  for (int i = 0; i < 500 && stable < 5; ++i) {
-    fault::SleepUs(20000);
-    const uint64_t reads = disk.stats().reads;
-    const bool settled =
-        reads == pool.PrefetchStatsSnapshot().device_reads &&
-        reads == pool.StatsSnapshot().misses +
-                     pool.PrefetchStatsSnapshot().issued;
-    stable = settled && reads == last ? stable + 1 : 0;
-    last = reads;
-  }
-  ASSERT_EQ(stable, 5) << "readahead never went quiet";
 }
 
 /// Scans pages [0, pages) of `term` in order, the way an evaluator does.
@@ -110,7 +90,7 @@ TEST(ReadaheadScanTest, ConcurrentColdScansEachKeepDepthReadsInFlight) {
   for (size_t t = 0; t < kScans; ++t) {
     EXPECT_LE(scan_ms[t], bound_ms) << "scan " << t;
   }
-  Quiesce(pool, *disk);
+  Quiesce(pool, disk.get());
   // Every page was read exactly once, by demand or by readahead.
   EXPECT_EQ(disk->stats().reads, kScans * kPages);
   EXPECT_EQ(pool.PrefetchStatsSnapshot().dropped, 0u);
@@ -151,7 +131,7 @@ TEST(ReadaheadScanTest, EarlyStopLeavesAtMostDepthUndemandedPages) {
   // Term 0's page plus term 1's pages 0..4: the scan stopped early.
   EXPECT_EQ(result.value().pages_processed, 6u);
 
-  Quiesce(pool, tc.index.disk());
+  Quiesce(pool, &tc.index.disk());
   const PoolPrefetchStats ps = pool.PrefetchStatsSnapshot();
   EXPECT_LE(ps.issued - ps.used - ps.wasted, kDepth);
   EXPECT_EQ(ps.wasted, 0u);
@@ -232,11 +212,11 @@ TEST(ReadaheadScanTest, HintsPastTheBoundAreDroppedAndCounted) {
   for (uint32_t p = 0; p < 20; ++p) plan.push_back(PageId{0, p});
   pool.Prefetch(buffer::PageAccessPlan(plan.data(), plan.size()));
   EXPECT_EQ(pool.PrefetchStatsSnapshot().dropped, 12u);
-  const obs::Counter* dropped =
-      registry.FindCounter("buffer.prefetch_dropped");
-  ASSERT_NE(dropped, nullptr);
-  EXPECT_EQ(dropped->value(), 12u);
-  Quiesce(pool, *disk);
+  const std::optional<uint64_t> dropped =
+      registry.CounterValue("buffer.prefetch_dropped");
+  ASSERT_TRUE(dropped.has_value());
+  EXPECT_EQ(*dropped, 12u);
+  Quiesce(pool, disk.get());
   EXPECT_EQ(pool.PrefetchStatsSnapshot().issued, 8u);
 }
 
@@ -309,7 +289,7 @@ TEST(ReadaheadScanTest, DeviceReadsConserveAtQuiescence) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  Quiesce(pool, tc.index.disk());
+  Quiesce(pool, &tc.index.disk());
   const buffer::BufferStats stats = pool.StatsSnapshot();
   const PoolPrefetchStats ps = pool.PrefetchStatsSnapshot();
   EXPECT_EQ(stats.fetches, stats.hits + stats.misses);

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "../core/test_index.h"
+#include "quiesce.h"
 #include "core/filtering_evaluator.h"
-#include "fault/backoff.h"
 #include "obs/span.h"
 #include "serve/concurrent_buffer_pool.h"
 
@@ -31,23 +31,6 @@ struct RunOutcome {
   buffer::BufferStats stats;
   PoolPrefetchStats prefetch;
 };
-
-/// Waits until the pool's readahead has drained: every device read is
-/// accounted (misses + issued == device_reads) and nothing moved for
-/// five polls 20 ms apart.
-void Quiesce(const ConcurrentBufferPool& pool) {
-  uint64_t last = ~uint64_t{0};
-  int stable = 0;
-  for (int i = 0; i < 500 && stable < 5; ++i) {
-    fault::SleepUs(20000);
-    const uint64_t reads = pool.PrefetchStatsSnapshot().device_reads;
-    const bool settled = reads == pool.StatsSnapshot().misses +
-                                      pool.PrefetchStatsSnapshot().issued;
-    stable = settled && reads == last ? stable + 1 : 0;
-    last = reads;
-  }
-  ASSERT_EQ(stable, 5) << "readahead never went quiet";
-}
 
 class TracedReadaheadTest : public ::testing::Test {
  protected:
