@@ -18,6 +18,11 @@
 //   BM_BufferFetchDecoded buffer-hit path: pin a resident page and read
 //                         one posting from its decoded block (block
 //                         path only — hits always hand decoded data)
+//   BM_RapChooseVictim    RAP's victim choice on a full pool of 108
+//                         frames (serial_refine's) and 3733 (cold_open's,
+//                         scanned under the global latch on every miss):
+//                         per-frame Meta() calls and w_{q,t} lookups vs
+//                         the cached-key scan
 //
 // The legacy variants transplant the exact pre-rewrite loops (scalar
 // VByteDecode into std::vector<Posting>, per-posting unordered_map
@@ -39,6 +44,7 @@
 
 #include "bench_util.h"
 #include "buffer/policy_factory.h"
+#include "buffer/rap_policy.h"
 #include "core/accumulator_set.h"
 #include "core/scorer.h"
 #include "index/conversion_table.h"
@@ -396,9 +402,11 @@ void BenchEvalQueries(bench::TelemetryFile* out) {
       g_sink += acc.size();
     }
   });
-  const double df_block = MeasureNsPerOp([&fx] {
+  // The block side reuses one set across topics, as the evaluators do.
+  core::AccumulatorSet acc;
+  const double df_block = MeasureNsPerOp([&fx, &acc] {
     for (const auto& terms : fx.topics) {
-      core::AccumulatorSet acc;
+      acc.Clear();
       double smax = 0.0;
       for (const auto& tp : terms) BlockTermKernel(tp, &acc, &smax);
       g_sink += acc.size();
@@ -419,9 +427,9 @@ void BenchEvalQueries(bench::TelemetryFile* out) {
       g_sink += acc.size();
     }
   });
-  const double baf_block = MeasureNsPerOp([&fx, &table] {
+  const double baf_block = MeasureNsPerOp([&fx, &table, &acc] {
     for (const auto& terms : fx.topics) {
-      core::AccumulatorSet acc;
+      acc.Clear();
       double smax = 0.0;
       BafOrder(terms, table, &smax,
                [&acc, &smax](const EvalFixture::TermPages& tp) {
@@ -471,6 +479,111 @@ void BenchBufferFetchDecoded(bench::TelemetryFile* out) {
   out->AddRaw(RunJson("block/BM_BufferFetchDecoded", per_fetch, 1));
 }
 
+// --- BM_RapChooseVictim -----------------------------------------------
+
+/// A full frame table over real pages, standing in for the pool.
+class BenchDirectory final : public buffer::FrameDirectory {
+ public:
+  const buffer::FrameMeta& Meta(buffer::FrameId frame) const override {
+    return metas[frame];
+  }
+  size_t capacity() const override { return metas.size(); }
+
+  std::vector<buffer::FrameMeta> metas;
+};
+
+/// RapPolicy::ChooseVictim as it was before keys were cached: each call
+/// recomputes every resident frame's value through the frame table (two
+/// virtual Meta() calls) and a w_{q,t} hash lookup.
+buffer::FrameId LegacyRapVictim(const buffer::FrameDirectory& directory,
+                                const buffer::QueryContext& context) {
+  const auto value_of = [&](buffer::FrameId f) {
+    const buffer::FrameMeta& meta = directory.Meta(f);
+    return meta.max_weight * context.WeightOf(meta.page.term);
+  };
+  buffer::FrameId victim = buffer::kInvalidFrame;
+  double victim_value = 0.0;
+  PageId victim_page{};
+  for (buffer::FrameId f = 0; f < directory.capacity(); ++f) {
+    const buffer::FrameMeta& meta = directory.Meta(f);
+    if (!meta.occupied) continue;
+    const double value = value_of(f);
+    bool better;
+    if (victim == buffer::kInvalidFrame) {
+      better = true;
+    } else if (value != victim_value) {
+      better = value < victim_value;
+    } else if (meta.page.term == victim_page.term) {
+      better = meta.page.page_no > victim_page.page_no;
+    } else {
+      better = meta.page.page_no > victim_page.page_no ||
+               (meta.page.page_no == victim_page.page_no &&
+                meta.page.term > victim_page.term);
+    }
+    if (better) {
+      victim = f;
+      victim_value = value;
+      victim_page = meta.page;
+    }
+  }
+  return victim;
+}
+
+/// One op = one victim choice on a full pool under a fixed context (the
+/// cached side's once-per-query value refresh falls in the warm-up). The
+/// frames hold the pages of two topics' terms, list heads first, and the
+/// context is the second topic's, so the first topic's other terms are
+/// worth 0 — the dropped-term ties of a refinement step.
+void BenchRapChooseVictim(bench::TelemetryFile* out, size_t frames) {
+  const corpus::SyntheticCorpus& corpus = bench::GetCorpus();
+  const index::InvertedIndex& index = corpus.index();
+  const buffer::QueryContext context =
+      core::BuildQueryContext(corpus.topics()[1].query, index.lexicon());
+  // Distinct terms, so no page occupies two frames.
+  std::vector<TermId> terms;
+  std::vector<bool> taken(index.lexicon().size(), false);
+  const auto take = [&terms, &taken](TermId t) {
+    if (!taken[t]) terms.push_back(t);
+    taken[t] = true;
+  };
+  for (size_t t = 0; t < 2; ++t) {
+    for (const core::QueryTerm& qt : corpus.topics()[t].query.terms()) {
+      take(qt.term);
+    }
+  }
+  for (TermId t = 0; terms.size() < frames && t < index.lexicon().size();
+       ++t) {
+    take(t);  // Pad with other lists when two topics fall short.
+  }
+  BenchDirectory directory;
+  for (uint32_t p = 0; directory.metas.size() < frames; ++p) {
+    const size_t before = directory.metas.size();
+    for (TermId t : terms) {
+      if (directory.metas.size() == frames) break;
+      if (p >= index.lexicon().info(t).pages) continue;
+      storage::Page page;
+      if (!index.disk().ReadPage(PageId{t, p}, &page).ok()) std::abort();
+      directory.metas.push_back({PageId{t, p}, page.max_weight, true});
+    }
+    if (directory.metas.size() == before) std::abort();  // Too few pages.
+  }
+  buffer::RapPolicy policy;
+  policy.Attach(&directory);
+  for (buffer::FrameId f = 0; f < frames; ++f) policy.OnInsert(f);
+  policy.SetQueryContext(&context);
+  if (policy.ChooseVictim() != LegacyRapVictim(directory, context)) {
+    std::abort();
+  }
+
+  const double legacy_ns = MeasureNsPerOp([&directory, &context] {
+    g_sink += LegacyRapVictim(directory, context);
+  });
+  const double block_ns =
+      MeasureNsPerOp([&policy] { g_sink += policy.ChooseVictim(); });
+  Report(out, StrFormat("BM_RapChooseVictim@%zu", frames), legacy_ns,
+         block_ns, frames);
+}
+
 }  // namespace
 
 int main() {
@@ -484,6 +597,8 @@ int main() {
   BenchAccumulatorAddProbe(&out);
   BenchEvalQueries(&out);
   BenchBufferFetchDecoded(&out);
+  BenchRapChooseVictim(&out, 108);
+  BenchRapChooseVictim(&out, 3733);
   out.Close();
   // The telemetry file doubles as the committed A/B baseline, under the
   // name the acceptance gate and ab_compare.py expect.

@@ -3,11 +3,14 @@
 namespace irbuf::buffer {
 
 void RapPolicy::OnInsert(FrameId frame) {
-  if (resident_.size() <= frame) resident_.resize(frame + 1, false);
-  resident_[frame] = true;
+  if (keys_.size() <= frame) keys_.resize(frame + 1);
+  const PageId page = directory_->Meta(frame).page;
+  keys_[frame] = Key{ValueOf(frame),
+                     (uint64_t{page.page_no} << 32) | uint64_t{page.term},
+                     /*resident=*/true};
 }
 
-void RapPolicy::OnEvict(FrameId frame) { resident_[frame] = false; }
+void RapPolicy::OnEvict(FrameId frame) { keys_[frame].resident = false; }
 
 double RapPolicy::ValueOf(FrameId frame) const {
   const FrameMeta& meta = directory_->Meta(frame);
@@ -16,38 +19,35 @@ double RapPolicy::ValueOf(FrameId frame) const {
 }
 
 FrameId RapPolicy::ChooseVictim() {
-  FrameId victim = kInvalidFrame;
-  double victim_value = 0.0;
-  PageId victim_page{};
-  for (FrameId f = 0; f < resident_.size(); ++f) {
-    if (!resident_[f]) continue;
-    const FrameMeta& meta = directory_->Meta(f);
-    double value = ValueOf(f);
-    bool better;
-    if (victim == kInvalidFrame) {
-      better = true;
-    } else if (value != victim_value) {
-      better = value < victim_value;
-    } else {
-      // Equal values (notably 0 for dropped terms): evict the tail of the
-      // list before the head, then break ties deterministically by term.
-      if (meta.page.term == victim_page.term) {
-        better = meta.page.page_no > victim_page.page_no;
-      } else {
-        better = meta.page.page_no > victim_page.page_no ||
-                 (meta.page.page_no == victim_page.page_no &&
-                  meta.page.term > victim_page.term);
-      }
+  if (values_stale_) {
+    for (FrameId f = 0; f < keys_.size(); ++f) {
+      if (keys_[f].resident) keys_[f].value = ValueOf(f);
     }
+    values_stale_ = false;
+  }
+  // The lowest value, then the highest rank. Equal values are common —
+  // notably 0 for the pages of dropped terms — so the comparison is
+  // written branch-free. Its outcome for every pair of keys, NaN values
+  // included, is the plain scan's.
+  FrameId victim = kInvalidFrame;
+  double best_value = 0.0;
+  uint64_t best_rank = 0;
+  for (FrameId f = 0; f < keys_.size(); ++f) {
+    const Key& k = keys_[f];
+    const bool better =
+        k.resident & ((victim == kInvalidFrame) | (k.value < best_value) |
+                      ((k.value == best_value) & (k.rank > best_rank)));
     if (better) {
       victim = f;
-      victim_value = value;
-      victim_page = meta.page;
+      best_value = k.value;
+      best_rank = k.rank;
     }
   }
   return victim;
 }
 
-void RapPolicy::Reset() { resident_.assign(resident_.size(), false); }
+void RapPolicy::Reset() {
+  for (Key& k : keys_) k.resident = false;
+}
 
 }  // namespace irbuf::buffer

@@ -9,14 +9,22 @@
 //  * pages of terms dropped during refinement have w_{q,t} = 0 and are
 //    evicted first, tail of the list before the head.
 //
-// Victim search is a linear scan over resident frames. The paper notes a
+// Victim search is an exact scan, over cached keys. The paper notes a
 // fully sorted frame queue is unnecessary as long as victims come from
-// among the lowest-valued pages; at the pool sizes of the study an exact
-// scan is cheap and keeps the policy deterministic.
+// among the lowest-valued pages. Within one query a page's value is
+// fixed (max_weight per page, w_{q,t} per query), so each resident
+// frame's key — (value, page_no, term) — lives in a flat array: OnInsert
+// sets it, and a context switch marks the values stale, to be recomputed
+// once on the next ChooseVictim. The scan then reads that array alone,
+// with no frame-table call or w_{q,t} lookup per frame, and picks the
+// minimum under the order value ascending, page_no descending, term
+// descending — the order of the plain scan over ValueOf it replaces, so
+// victims are unchanged.
 
 #ifndef IRBUF_BUFFER_RAP_POLICY_H_
 #define IRBUF_BUFFER_RAP_POLICY_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "buffer/replacement_policy.h"
@@ -31,8 +39,11 @@ class RapPolicy final : public ReplacementPolicy {
   void OnHit(FrameId /*frame*/) override {}
   void OnEvict(FrameId frame) override;
   FrameId ChooseVictim() override;
+  /// `context` must stay unchanged until the next call (the pool
+  /// publishes an immutable snapshot per query).
   void SetQueryContext(const QueryContext* context) override {
     context_ = context;
+    values_stale_ = true;
   }
   void Reset() override;
 
@@ -41,8 +52,18 @@ class RapPolicy final : public ReplacementPolicy {
   double ValueOf(FrameId frame) const;
 
  private:
-  std::vector<bool> resident_;
+  /// A frame's victim key, valid while `resident`.
+  struct Key {
+    double value = 0.0;  // ValueOf(frame), unless values_stale_.
+    /// page_no in the high half, term in the low: among equal values
+    /// the higher rank goes first (tail before head, then higher term).
+    uint64_t rank = 0;
+    bool resident = false;
+  };
+
+  std::vector<Key> keys_;  // Indexed by frame id.
   const QueryContext* context_ = nullptr;
+  bool values_stale_ = false;
 };
 
 }  // namespace irbuf::buffer

@@ -19,6 +19,19 @@
 // The bitmap covers ids below kBitmapIds (2 MiB of bits at most); keys
 // at or above it, which no collection this system builds reaches, fall
 // back to a plain table probe so a stray huge id cannot balloon memory.
+//
+// Reset, not rebuilt. The evaluators keep one set per evaluating thread
+// and Clear() it between queries, so a query starts on the table, slot
+// list and bitmap the previous queries grew instead of regrowing them
+// from 16 slots. A dense slot list records the occupied slots in
+// insertion order: Clear() empties exactly those slots and their bitmap
+// words, in O(size) rather than O(capacity), and iteration (SelectTopN)
+// walks the list instead of the half-empty table. The list is sized in
+// Grow(), so an insertion only stores into it. A table left far larger
+// than the query that just used it (at least kReleaseMinCapacity slots
+// and over kReleaseRatio times that query's size) is released on
+// Clear(): one huge DF query does not pin megabytes in every thread
+// that ever evaluated it.
 
 #ifndef IRBUF_CORE_ACCUMULATOR_SET_H_
 #define IRBUF_CORE_ACCUMULATOR_SET_H_
@@ -76,54 +89,70 @@ class AccumulatorSet {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Table slots allocated (0 before the first insertion and after a
+  /// release): what a reset keeps for the next query.
+  size_t capacity() const { return mask_ == 0 ? 0 : mask_ + 1; }
 
-  /// Empties the set, keeping the table and bitmap allocations.
+  /// Empties the set in O(size): only the occupied slots and their
+  /// bitmap words are reset, and the allocations are kept for the next
+  /// query — unless the table is far larger than the query that just
+  /// used it, in which case it is released (see the file comment).
   void Clear() {
-    std::fill(keys_.begin(), keys_.end(), kEmpty);
-    std::fill(bits_.begin(), bits_.end(), 0);
+    const size_t capacity = mask_ + 1;
+    if (capacity >= kReleaseMinCapacity && size_ * kReleaseRatio < capacity) {
+      *this = AccumulatorSet();
+      return;
+    }
+    for (size_t n = 0; n < size_; ++n) {
+      const uint32_t slot = slots_[n];
+      const size_t w = keys_[slot] >> 6;
+      if (w < bits_.size()) bits_[w] = 0;
+      keys_[slot] = kEmpty;
+    }
     has_far_keys_ = false;
     size_ = 0;
   }
 
-  /// Iteration over (doc, accumulated score) in unspecified order, as
-  /// with the map this replaced (SelectTopN's result is independent of
-  /// visit order: WorseFirst is a total order on (score, doc)).
+  /// Iteration over (doc, accumulated score) in insertion order.
+  /// SelectTopN's result does not depend on the order (WorseFirst is a
+  /// total order on (score, doc)).
   class const_iterator {
    public:
     using value_type = std::pair<DocId, double>;
 
     value_type operator*() const {
-      return {set_->keys_[i_], set_->vals_[i_]};
+      const uint32_t slot = set_->slots_[n_];
+      return {set_->keys_[slot], set_->vals_[slot]};
     }
     const_iterator& operator++() {
-      ++i_;
-      SkipEmpty();
+      ++n_;
       return *this;
     }
-    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
+    bool operator==(const const_iterator& o) const { return n_ == o.n_; }
+    bool operator!=(const const_iterator& o) const { return n_ != o.n_; }
 
    private:
     friend class AccumulatorSet;
-    const_iterator(const AccumulatorSet* set, size_t i)
-        : set_(set), i_(i) {
-      SkipEmpty();
-    }
-    void SkipEmpty() {
-      while (i_ < set_->keys_.size() && set_->keys_[i_] == kEmpty) ++i_;
-    }
+    const_iterator(const AccumulatorSet* set, size_t n) : set_(set), n_(n) {}
 
     const AccumulatorSet* set_;
-    size_t i_;
+    size_t n_;  // Position in the slot list.
   };
 
   const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, keys_.size()); }
+  const_iterator end() const { return const_iterator(this, size_); }
 
  private:
   static constexpr DocId kEmpty = 0xFFFFFFFFu;
   static constexpr size_t kInitialCapacity = 16;
   static constexpr size_t kBitmapIds = size_t{1} << 24;
+  /// Clear() releases a table of at least this many slots (~0.9 MiB of
+  /// keys, values and slot list) when the query that just used it held
+  /// fewer than 1/kReleaseRatio of them as accumulators. A table grown
+  /// for N accumulators has 2N..4N slots, so the rule fires only after
+  /// a query 8-16x smaller than the one that grew it.
+  static constexpr size_t kReleaseMinCapacity = size_t{1} << 16;
+  static constexpr size_t kReleaseRatio = 32;
 
   /// Fibonacci hashing: the golden-ratio multiplier spreads consecutive
   /// and strided doc ids across the table; the top product bits feed the
@@ -170,6 +199,7 @@ class AccumulatorSet {
         vals_[i] = 0.0;
         const size_t w = d >> 6;
         if (w < bits_.size()) bits_[w] |= uint64_t{1} << (d & 63);
+        slots_[size_] = static_cast<uint32_t>(i);
         ++size_;
         *inserted = true;
         return vals_[i];
@@ -180,7 +210,10 @@ class AccumulatorSet {
   }
 
   // Doubling growth: each element is moved O(1) times amortized, so the
-  // per-posting cost inside the evaluator hot loops stays constant.
+  // per-posting cost inside the evaluator hot loops stays constant. The
+  // slot list gets room for the most keys the new table holds at 1/2
+  // load, and the rehash walks it in insertion order, rewriting each
+  // entry to the key's new slot.
   // irbuf-analyzer: amortized-alloc
   void Grow() {
     const size_t new_cap = mask_ == 0 ? kInitialCapacity : (mask_ + 1) * 2;
@@ -188,13 +221,15 @@ class AccumulatorSet {
     std::vector<double> old_vals = std::move(vals_);
     keys_.assign(new_cap, kEmpty);
     vals_.assign(new_cap, 0.0);
+    slots_.resize(new_cap / 2);
     mask_ = new_cap - 1;
-    for (size_t j = 0; j < old_keys.size(); ++j) {
-      if (old_keys[j] == kEmpty) continue;
-      size_t i = Hash(old_keys[j]) & mask_;
+    for (size_t n = 0; n < size_; ++n) {
+      const uint32_t old = slots_[n];
+      size_t i = Hash(old_keys[old]) & mask_;
       while (keys_[i] != kEmpty) i = (i + 1) & mask_;
-      keys_[i] = old_keys[j];
-      vals_[i] = old_vals[j];
+      keys_[i] = old_keys[old];
+      vals_[i] = old_vals[old];
+      slots_[n] = static_cast<uint32_t>(i);
     }
   }
 
@@ -215,8 +250,9 @@ class AccumulatorSet {
 
   std::vector<DocId> keys_;
   std::vector<double> vals_;
-  std::vector<uint64_t> bits_;  // Bit d set iff d is a key.
-  bool has_far_keys_ = false;   // Some key is >= kBitmapIds.
+  std::vector<uint32_t> slots_;  // [0, size_): occupied slots, in order.
+  std::vector<uint64_t> bits_;   // Bit d set iff d is a key.
+  bool has_far_keys_ = false;    // Some key is >= kBitmapIds.
   size_t size_ = 0;
   size_t mask_ = 0;  // capacity - 1; 0 while the table is unallocated.
 };

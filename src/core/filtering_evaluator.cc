@@ -323,7 +323,12 @@ Result<EvalResult> FilteringEvaluator::Evaluate(
     buffers->SetQueryContext(BuildQueryContext(query, index_->lexicon()));
   }
 
-  AccumulatorSet accumulators;
+  // The evaluating thread's candidate set, reset rather than rebuilt per
+  // query (see accumulator_set.h). Per thread, so concurrent Evaluate
+  // calls on one evaluator never share it; TermwiseRun keeps its own,
+  // since shard runs interleave on one thread.
+  thread_local AccumulatorSet accumulators;
+  accumulators.Clear();
   double smax = 0.0;
 
   if (!options_.buffer_aware) {

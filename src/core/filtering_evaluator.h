@@ -264,6 +264,8 @@ class FilteringEvaluator {
   /// instead of failing it: see EvalResult's degradation fields.
   /// Logic errors (kResourceExhausted, kNotFound, ...) still propagate.
   /// `control` (optional) imposes a deadline; pass nullptr for none.
+  /// Threads may share one evaluator: each evaluates into its own
+  /// candidate set, kept per thread and reset (not rebuilt) per query.
   Result<EvalResult> Evaluate(const Query& query,
                               buffer::BufferPool* buffers,
                               const EvalControl* control = nullptr) const;

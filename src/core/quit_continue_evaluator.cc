@@ -20,7 +20,9 @@ Result<EvalResult> QuitContinueEvaluator::Evaluate(
   const index::Lexicon& lexicon = index_->lexicon();
   const std::vector<QueryTerm> order = DfTermOrder(query, lexicon);
 
-  AccumulatorSet accumulators;
+  // Per-thread and reset per query, like FilteringEvaluator::Evaluate's.
+  thread_local AccumulatorSet accumulators;
+  accumulators.Clear();
   bool quit = false;
 
   obs::SpanRecorder* const spans = options_.span_recorder;

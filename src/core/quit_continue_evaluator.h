@@ -50,6 +50,8 @@ class QuitContinueEvaluator {
 
   /// Runs one query; terms are processed in decreasing-idf order, like
   /// DF, so the most selective terms claim the accumulator budget first.
+  /// Like FilteringEvaluator::Evaluate, it uses a per-thread candidate
+  /// set that is reset per query.
   Result<EvalResult> Evaluate(const Query& query,
                               buffer::BufferPool* buffers) const;
 

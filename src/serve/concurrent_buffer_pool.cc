@@ -595,14 +595,17 @@ void ConcurrentBufferPool::Flush() {
     Frame& f = frames_[i - 1];
     IRBUF_DCHECK(f.pins.load(std::memory_order_relaxed) == 0,
                  "pool flushed with outstanding pins");
+    // b_t counts occupied frames (prefetch-tagged ones included), so
+    // zeroing the terms of occupied frames zeroes every nonzero b_t in
+    // O(capacity), not O(num_terms).
+    if (f.meta.occupied && f.meta.page.term < term_resident_.size()) {
+      term_resident_[f.meta.page.term].store(0, std::memory_order_relaxed);
+    }
     f.meta.occupied = false;
     f.prefetch_tagged = false;
     free_frames_.push_back(static_cast<buffer::FrameId>(i - 1));
   }
   prefetch_window_.clear();
-  for (std::atomic<uint32_t>& resident : term_resident_) {
-    resident.store(0, std::memory_order_relaxed);
-  }
   policy_->Reset();
 }
 

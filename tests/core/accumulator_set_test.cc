@@ -194,6 +194,111 @@ TEST(AccumulatorSetTest, ClearKeepsTableUsable) {
   EXPECT_EQ(acc.size(), 1u);
 }
 
+// Reuse across queries: a large set, Clear(), then a small set on the
+// retained table. Membership, misses and iteration are the small set's
+// alone.
+TEST(AccumulatorSetTest, SmallSetAfterLargeSetOnRetainedTable) {
+  AccumulatorSet acc;
+  for (DocId d = 0; d < 20000; ++d) acc.FindOrInsert(d * 7) = 1.0;
+  const size_t capacity = acc.capacity();
+  acc.Clear();
+  EXPECT_EQ(acc.capacity(), capacity);  // Reset, not rebuilt.
+  std::vector<DocId> small = {3, 12, 64, 65, 7 * 19999, 140006};
+  for (DocId d : small) acc.FindOrInsert(d) += d + 0.5;
+  EXPECT_EQ(acc.size(), small.size());
+  for (DocId d = 0; d < 20000; ++d) {
+    const bool member =
+        std::find(small.begin(), small.end(), d * 7) != small.end();
+    ASSERT_EQ(acc.FindOrNull(d * 7) != nullptr, member) << d * 7;
+  }
+  std::vector<DocId> seen;
+  for (const auto& [doc, val] : acc) {
+    EXPECT_EQ(val, doc + 0.5);
+    seen.push_back(doc);
+  }
+  std::sort(seen.begin(), seen.end());
+  std::sort(small.begin(), small.end());
+  EXPECT_EQ(seen, small);
+}
+
+// Iteration walks the slot list, which every Grow() rewrites: after each
+// growth step, and across Clear() on a retained table (including growth
+// past the retained capacity), each live key is visited exactly once
+// with its value.
+TEST(AccumulatorSetTest, IterationVisitsLiveKeysOnceAcrossGrowAndClear) {
+  Pcg32 rng(17);
+  AccumulatorSet acc;
+  std::unordered_map<DocId, double> reference;
+  const auto expect_iteration_matches = [&](const char* when) {
+    std::unordered_map<DocId, double> seen;
+    for (const auto& [doc, val] : acc) {
+      ASSERT_TRUE(seen.emplace(doc, val).second) << when << " twice: " << doc;
+    }
+    ASSERT_EQ(seen, reference) << when;
+  };
+  for (int n : {3000, 50, 12000}) {
+    acc.Clear();
+    reference.clear();
+    size_t capacity = acc.capacity();
+    for (int i = 0; i < n; ++i) {
+      const DocId d = rng.NextBounded(1u << 20);
+      const double w = 1.0 + rng.NextBounded(8);
+      acc.FindOrInsert(d) += w;
+      reference[d] += w;
+      if (acc.capacity() != capacity) {
+        capacity = acc.capacity();
+        expect_iteration_matches("after a grow");
+      }
+    }
+    expect_iteration_matches("at the end of a query");
+  }
+}
+
+TEST(AccumulatorSetTest, ClearForgetsFarIds) {
+  AccumulatorSet acc;
+  const DocId far = (DocId{1} << 24) + 77;
+  acc.FindOrInsert(far) = 2.0;
+  acc.FindOrInsert(5) = 1.0;
+  acc.Clear();
+  EXPECT_EQ(acc.FindOrNull(far), nullptr);
+  EXPECT_EQ(acc.FindOrNull(5), nullptr);
+  EXPECT_EQ(acc.begin(), acc.end());
+  acc.FindOrInsert(far + 1) = 3.0;
+  EXPECT_EQ(acc.FindOrNull(far), nullptr);
+  ASSERT_NE(acc.FindOrNull(far + 1), nullptr);
+  EXPECT_EQ(*acc.FindOrNull(far + 1), 3.0);
+  EXPECT_EQ(acc.size(), 1u);
+}
+
+// A table far larger than the query that just used it is released on
+// Clear(); one sized for its last query is kept. A released set works
+// like a new one.
+TEST(AccumulatorSetTest, ClearReleasesATableFarLargerThanItsLastQuery) {
+  AccumulatorSet acc;
+  for (DocId d = 0; d < 40000; ++d) acc.FindOrInsert(d) = 1.0;
+  const size_t big = acc.capacity();
+  ASSERT_GE(big, size_t{1} << 16);
+  acc.Clear();  // The query that used it filled it: kept.
+  EXPECT_EQ(acc.capacity(), big);
+  for (DocId d = 0; d < 100; ++d) acc.FindOrInsert(d * 3) = 2.0;
+  EXPECT_EQ(acc.capacity(), big);
+  acc.Clear();  // 100 accumulators in a 2^17-slot table: released.
+  EXPECT_EQ(acc.capacity(), 0u);
+  EXPECT_TRUE(acc.empty());
+  EXPECT_EQ(acc.begin(), acc.end());
+  EXPECT_EQ(acc.FindOrNull(3), nullptr);
+  EXPECT_EQ(acc.FindOrNull(39999), nullptr);
+  for (DocId d = 0; d < 1000; ++d) acc.FindOrInsert(d * 5) += 1.0;
+  EXPECT_EQ(acc.size(), 1000u);
+  EXPECT_LT(acc.capacity(), big);
+  ASSERT_NE(acc.FindOrNull(5), nullptr);
+  EXPECT_EQ(*acc.FindOrNull(5), 1.0);
+  EXPECT_EQ(acc.FindOrNull(3), nullptr);
+  size_t visited = 0;
+  for (const auto& entry : acc) visited += entry.second == 1.0 ? 1 : 0;
+  EXPECT_EQ(visited, 1000u);
+}
+
 // Replays a DF-shaped op trace — the Find / conditional-Insert /
 // accumulate mix the filtering evaluator issues, with the skewed doc
 // distribution a real posting stream has — against the unordered_map

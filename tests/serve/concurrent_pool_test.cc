@@ -230,6 +230,40 @@ TEST(ConcurrentPoolTest, ExternalContextModeIgnoresSetQueryContext) {
   EXPECT_TRUE(r.ok());
 }
 
+// Flush zeroes b_t through the occupied frames' terms, not the whole
+// lexicon: afterwards every ResidentPages(t) is 0 — read-ahead
+// (prefetch-tagged) pages included — and b_t counts from zero again
+// after a reload.
+TEST(ConcurrentPoolTest, FlushZeroesEveryResidentCountAndCountingResumes) {
+  auto disk = MakeTestDisk({5, 4, 6, 3});
+  ConcurrentPoolOptions opts = Opts(10, PolicyKind::kRap);
+  opts.prefetch_depth = 2;
+  ConcurrentBufferPool pool(disk.get(), opts);
+  for (uint32_t p = 0; p < 3; ++p) {
+    ASSERT_TRUE(pool.FetchPinned(PageId{0, p}).ok());
+  }
+  ASSERT_TRUE(pool.FetchPinned(PageId{2, 0}).ok());
+  const std::vector<PageId> plan = {PageId{3, 0}, PageId{3, 1}};
+  pool.Prefetch(buffer::PageAccessPlan(plan.data(), plan.size()));
+  Quiesce(pool, disk.get());
+  ASSERT_EQ(pool.PrefetchStatsSnapshot().issued, 2u);
+  EXPECT_EQ(pool.ResidentPages(0), 3u);
+  EXPECT_EQ(pool.ResidentPages(2), 1u);
+  EXPECT_EQ(pool.ResidentPages(3), 2u);  // Tagged, not yet demanded.
+
+  pool.Flush();
+  for (TermId t = 0; t < 4; ++t) EXPECT_EQ(pool.ResidentPages(t), 0u) << t;
+  EXPECT_TRUE(pool.ResidentPageIds().empty());
+
+  ASSERT_TRUE(pool.FetchPinned(PageId{0, 1}).ok());
+  ASSERT_TRUE(pool.FetchPinned(PageId{3, 2}).ok());
+  ASSERT_TRUE(pool.FetchPinned(PageId{3, 0}).ok());
+  EXPECT_EQ(pool.ResidentPages(0), 1u);
+  EXPECT_EQ(pool.ResidentPages(1), 0u);
+  EXPECT_EQ(pool.ResidentPages(2), 0u);
+  EXPECT_EQ(pool.ResidentPages(3), 2u);
+}
+
 // Conservation holds on the registry's exported values, not only on the
 // pool's own snapshots: 8 threads scan through a depth-4 readahead pool
 // whose pool and disk are bound to one registry, and at quiescence the
@@ -240,6 +274,10 @@ TEST(ConcurrentPoolTest, RegistryCountersConserveUnderReadahead) {
   auto disk = MakeTestDisk(std::vector<uint32_t>(kThreads, kPages));
   ConcurrentPoolOptions opts = Opts(48);
   opts.prefetch_depth = 4;  // B = min(max(64, 32), 24) = 24.
+  // A device delay lets hints land before their demand fetch; with none,
+  // demand misses won every race in about half of the runs, and no
+  // readahead read was ever issued.
+  opts.io_delay_us_per_miss = 50;
   obs::MetricsRegistry registry;  // Outlives the pool's workers.
   ConcurrentBufferPool pool(disk.get(), opts);
   pool.BindMetrics(&registry);
